@@ -243,7 +243,7 @@ def read_world(path: Path, world_id: int) -> tuple[dict, WorldGraph, WorldDatase
                 continue
             try:
                 items.append(instance_from_dict(json.loads(line), split))
-            except (json.JSONDecodeError, KeyError, IndexError) as exc:
+            except (KeyError, IndexError, ValueError, TypeError) as exc:
                 raise SuiteFormatError(f"{file}:{lineno}: bad instance record ({exc})")
         instances[split] = items
     ds = WorldDataset(
@@ -282,6 +282,9 @@ def read_manifest(path: Path) -> dict:
     for key in ("config", "rules", "worlds", "similarity", "protocols"):
         if key not in manifest:
             raise SuiteFormatError(f"{path / 'manifest.json'}: missing key {key!r}")
+    for pos, world in enumerate(manifest["worlds"]):
+        if not isinstance(world, dict) or "world_id" not in world:
+            raise SuiteFormatError(f"{path / 'manifest.json'}: worlds[{pos}] has no world_id")
     return manifest
 
 

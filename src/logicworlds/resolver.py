@@ -2,15 +2,17 @@
 
 A descriptor resolves to the set of relations derivable by composing
 its labels under some binary bracketing. :func:`resolve_descriptor`
-computes that set with a CYK-style chart; :func:`brute_force_resolve`
-recomputes it by enumerating every bracketing explicitly and exists
-only to cross-check the chart.
+computes that set with a CYK-style chart, memoized per world rule set
+(each distinct label tuple is charted once per :class:`RuleSet`);
+:func:`brute_force_resolve` recomputes it by enumerating every
+bracketing explicitly and exists only to cross-check the chart.
 
 Instance graphs are validated against the four soundness conditions a
 query must satisfy (target resolvable and unambiguous, descriptor/path
-agreement, no shortcut, all same-length paths consistent), and
-:func:`symbolic_baseline_solve` is the perfect-accuracy reference
-solver used as the in-repo baseline.
+agreement, no shortcut, all same-length paths consistent); certification
+recomputes every check from the instance alone, taking nothing from the
+sampler. :func:`symbolic_baseline_solve` is the perfect-accuracy
+reference solver used as the in-repo baseline.
 """
 
 from __future__ import annotations
@@ -84,8 +86,12 @@ def resolution_chart(
 def resolve_descriptor(
     rules: RuleSet, labels: Sequence[RelationId]
 ) -> frozenset[RelationId]:
-    """Relations derivable for the full descriptor span."""
-    return resolution_chart(rules, labels)[(0, len(labels))]
+    """Relations derivable for the full descriptor span, memoized per rule set."""
+    key = tuple(labels)
+    resolved = rules._resolved.get(key)
+    if resolved is None:
+        resolved = rules._resolved[key] = resolution_chart(rules, key)[(0, len(key))]
+    return resolved
 
 
 @lru_cache(maxsize=None)
@@ -150,20 +156,8 @@ def out_adjacency(
 def shortest_distance(
     adj: dict[int, list[tuple[int, RelationId]]], source: int, sink: int
 ) -> int | None:
-    """Directed BFS hop count, None when the sink is unreachable."""
-    if source == sink:
-        return 0
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == sink:
-                    return dist[v]
-                queue.append(v)
-    return None
+    """Directed hop count, None when the sink is unreachable."""
+    return _distances_to(adj, sink).get(source)
 
 
 def _distances_to(adj, sink: int) -> dict[int, int]:
@@ -189,13 +183,16 @@ def iter_simple_path_labels(
     sink: int,
     max_len: int,
     exact_len: int | None = None,
+    to_sink: dict[int, int] | None = None,
 ) -> Iterator[tuple[RelationId, ...]]:
     """Label sequences of simple directed source->sink paths.
 
     Paths longer than ``max_len`` edges are skipped, as are prefixes that
-    cannot reach the sink within budget (reverse-distance pruning).
+    cannot reach the sink within budget (reverse-distance pruning by
+    ``to_sink``, the table of :func:`_distances_to`, computed when absent).
     """
-    to_sink = _distances_to(adj, sink)
+    if to_sink is None:
+        to_sink = _distances_to(adj, sink)
     if source not in to_sink:
         return
     path_labels: list[RelationId] = []
@@ -254,19 +251,16 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
         matches = matches and tuple(path_labels) == tuple(inst.descriptor)
 
     adj = out_adjacency(inst.edges)
-    dist = shortest_distance(adj, inst.source, inst.sink)
-    shortcut_free = dist == len(inst.descriptor)
+    to_sink = _distances_to(adj, inst.sink)
+    n = len(inst.descriptor)
+    shortcut_free = to_sink.get(inst.source) == n
 
     path_consistent = matches
     if path_consistent:
-        cache: dict[tuple[RelationId, ...], frozenset[RelationId]] = {}
         for labels in iter_simple_path_labels(
-            adj, inst.source, inst.sink, len(inst.descriptor), exact_len=len(inst.descriptor)
+            adj, inst.source, inst.sink, n, exact_len=n, to_sink=to_sink
         ):
-            res = cache.get(labels)
-            if res is None:
-                res = cache[labels] = resolve_descriptor(rules, labels)
-            if not res <= {inst.target}:
+            if not resolve_descriptor(rules, labels) <= {inst.target}:
                 path_consistent = False
                 break
 
@@ -289,12 +283,8 @@ def solve_instance(
     """
     adj = out_adjacency(inst.edges)
     candidates: set[RelationId] = set()
-    cache: dict[tuple[RelationId, ...], frozenset[RelationId]] = {}
     for labels in iter_simple_path_labels(adj, inst.source, inst.sink, max_len):
-        res = cache.get(labels)
-        if res is None:
-            res = cache[labels] = resolve_descriptor(rules, labels)
-        candidates |= res
+        candidates |= resolve_descriptor(rules, labels)
     return min(candidates) if candidates else None
 
 

@@ -65,14 +65,18 @@ class BinaryRule:
 class RuleSet:
     """An ordered list of binary rules over one alphabet.
 
-    Treated as immutable after construction; the body lookup table is
-    built once. Construction does not validate (see
-    :func:`check_consistency`), so violating sets can be built in tests.
+    Treated as immutable after construction: the body lookup table is
+    built once and ``_resolved`` memoizes descriptor resolutions.
+    Construction does not validate (see :func:`check_consistency`), so
+    violating sets can be built in tests.
     """
 
     alphabet: RelationAlphabet
     rules: tuple[BinaryRule, ...]
     _by_body: dict[tuple[RelationId, RelationId], BinaryRule] = field(
+        init=False, repr=False, compare=False
+    )
+    _resolved: dict[tuple[RelationId, ...], frozenset[RelationId]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -82,6 +86,7 @@ class RuleSet:
         for rule in self.rules:
             by_body.setdefault(rule.body, rule)
         self._by_body = by_body
+        self._resolved = {}
 
     def __len__(self) -> int:
         return len(self.rules)

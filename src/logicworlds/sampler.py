@@ -305,8 +305,14 @@ def _remove_shortcuts(
 ) -> None:
     """Delete newest offending noise edge until distance(u, v) = |descriptor|."""
     insertion = {key: i for i, key in enumerate(noise_order)}
+    # one sorted out-adjacency serves every BFS; deletions are mirrored in it
+    out: dict[NodeId, list[NodeId]] = {}
+    for u, v in edges:
+        out.setdefault(u, []).append(v)
+    for nbrs in out.values():
+        nbrs.sort()
     while True:
-        path = _shortest_path(edges, source, sink)
+        path = _shortest_path(out, source, sink)
         assert path is not None, "resolution path edges are never deleted"
         if len(path) - 1 >= resolution_len:
             return
@@ -316,16 +322,12 @@ def _remove_shortcuts(
         assert offending, "a shorter path cannot consist of resolution edges only"
         newest = max(offending, key=insertion.__getitem__)
         del edges[newest]
+        out[newest[0]].remove(newest[1])
 
 
 def _shortest_path(
-    edges: dict[tuple[NodeId, NodeId], RelationId], source: NodeId, sink: NodeId
+    out: dict[NodeId, list[NodeId]], source: NodeId, sink: NodeId
 ) -> list[NodeId] | None:
-    out: dict[NodeId, list[NodeId]] = {}
-    for u, v in edges:
-        out.setdefault(u, []).append(v)
-    for nbrs in out.values():
-        nbrs.sort()
     parent = {source: source}
     frontier = [source]
     while frontier:
@@ -353,15 +355,10 @@ def usable_pairs(
     (unresolved walks, ambiguous descriptors, mismatched resolutions).
     On a closure-clean world graph only unresolved drops occur.
     """
-    cache: dict[tuple[RelationId, ...], frozenset[RelationId]] = {}
     kept: list[DescriptorPair] = []
     counts = {"unresolved": 0, "ambiguous": 0, "mismatched": 0}
     for pair in collection.pairs:
-        resolved = cache.get(pair.descriptor)
-        if resolved is None:
-            resolved = cache[pair.descriptor] = resolve_descriptor(
-                rules, pair.descriptor
-            )
+        resolved = resolve_descriptor(rules, pair.descriptor)
         if not resolved:
             counts["unresolved"] += 1
         elif len(resolved) > 1:

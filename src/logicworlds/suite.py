@@ -226,9 +226,14 @@ def generate_suite_to_disk(
     """Generate straight to disk, world by world (optionally in parallel).
 
     Returns per-world sampling info keyed by world_id. The result and
-    the bytes on disk are independent of ``workers``.
+    the bytes on disk are independent of ``workers``. A world id the
+    plan does not have is a ConfigError, raised before anything is written.
     """
     suite = plan_suite(config)
+    unknown = set(world_ids or ()) - {w.world_id for w in suite.worlds}
+    if unknown:
+        n = len(suite.worlds)
+        raise ConfigError(f"world ids {sorted(unknown)} not in the plan's {n} worlds")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     selected = [

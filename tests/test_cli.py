@@ -3,6 +3,7 @@ import json
 import pytest
 
 from logicworlds.cli import main
+from logicworlds.suite import plan_suite
 
 from conftest import tiny_suite_config
 
@@ -64,6 +65,19 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["worlds"]) > 1
 
+    def test_unknown_world_id_is_config_error_and_writes_nothing(
+        self, config_file, tmp_path, capsys
+    ):
+        out = tmp_path / "none"
+        rc = main(
+            ["generate", "--config", str(config_file), "--out", str(out), "--world-id", "999"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert not out.exists()
+        worlds = len(plan_suite(tiny_suite_config()).worlds)
+        assert "999" in err and f"{worlds} worlds" in err
+
     def test_seed_override_changes_bytes(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["generate", "--config", str(config_file), "--out", str(a)]) == 0
@@ -105,6 +119,34 @@ class TestValidate:
 
     def test_unreadable_suite(self, tmp_path):
         assert main(["validate", str(tmp_path / "nowhere")]) == 2
+
+    def test_two_field_edge_is_format_error_with_location(self, suite_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "short_edge"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["edges"][0] = record["edges"][0][:2]
+        lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        split_file.write_text("\n".join(lines) + "\n")
+        rc = main(["validate", str(broken)])
+        assert rc == 2
+        assert f"{split_file}:2:" in capsys.readouterr().err
+
+    def test_manifest_world_without_id_is_format_error(self, suite_dir, tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "no_world_id"
+        shutil.copytree(suite_dir, broken)
+        manifest_file = broken / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        del manifest["worlds"][0]["world_id"]
+        manifest_file.write_text(json.dumps(manifest))
+        rc = main(["validate", str(broken)])
+        assert rc == 2
+        assert f"{manifest_file}:" in capsys.readouterr().err
 
 
 class TestSolve:

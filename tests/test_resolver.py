@@ -5,7 +5,9 @@ import pytest
 
 from logicworlds.errors import ConfigError
 from logicworlds.resolver import (
+    _distances_to,
     brute_force_resolve,
+    iter_simple_path_labels,
     out_adjacency,
     resolution_chart,
     resolve_descriptor,
@@ -48,6 +50,37 @@ class TestResolveDescriptor:
         rules = make_rules([((0, 2), 3)], size=4)
         with pytest.raises(ConfigError):
             resolve_descriptor(rules, ())
+
+
+class TestResolutionMemo:
+    def test_rule_sets_sharing_a_body_do_not_share_results(self):
+        low = make_rules([((0, 1), 2)], size=4)
+        high = make_rules([((0, 1), 3)], size=4)
+        for _ in range(2):
+            assert resolve_descriptor(low, (0, 1)) == {2}
+            assert resolve_descriptor(high, (0, 1)) == {3}
+
+    def test_memoized_results_match_chart_and_brute_force(self):
+        for seed in range(6):
+            local = random.Random(seed)
+            alpha = generate_alphabet(6, local)
+            rules = generate_rules(alpha, local)
+            descriptors = [
+                tuple(local.randrange(6) for _ in range(local.randint(1, 7)))
+                for _ in range(60)
+            ]
+            for d in descriptors + descriptors:  # second pass is served by the memo
+                expected = resolution_chart(rules, d)[(0, len(d))]
+                assert resolve_descriptor(rules, d) == expected
+                assert resolve_descriptor(rules, list(d)) == expected
+                assert expected == brute_force_resolve(rules, d)
+            assert set(rules._resolved) == set(descriptors)
+
+    def test_failed_resolution_is_not_memoized(self):
+        rules = make_rules([((0, 2), 3)], size=4)
+        with pytest.raises(ConfigError):
+            resolve_descriptor(rules, ())
+        assert () not in rules._resolved
 
 
 class TestResolutionChart:
@@ -177,6 +210,13 @@ class TestValidateInstance:
         assert not report.is_valid
         assert report.resolved == frozenset()
 
+    def test_unreachable_sink_reports_shortcut_not_error(self):
+        inst = dataclasses.replace(chain_instance(), edges=((0, 0, 1),))
+        report = validate_instance(CHAIN_RULES, inst)
+        assert not report.shortcut_free
+        assert not report.path_consistent
+        assert not report.is_valid
+
     def test_ambiguous_descriptor_flagged(self):
         rules = make_rules(
             [((0, 1), 2), ((1, 3), 4), ((2, 3), 5), ((0, 4), 6)], size=7
@@ -222,3 +262,16 @@ class TestGraphHelpers:
         adj = out_adjacency([(0, 0, 1), (1, 0, 2), (0, 5, 2)])
         assert shortest_distance(adj, 0, 2) == 1
         assert shortest_distance(adj, 2, 0) is None
+        assert shortest_distance(adj, 2, 2) == 0
+
+    def test_given_distance_table_yields_the_same_paths(self):
+        edges = [(0, 0, 1), (1, 1, 2), (0, 2, 3), (3, 3, 2), (1, 4, 3), (2, 5, 4)]
+        adj = out_adjacency(edges)
+        for exact in (None, 2, 3):
+            own = list(iter_simple_path_labels(adj, 0, 2, 4, exact_len=exact))
+            given = list(
+                iter_simple_path_labels(
+                    adj, 0, 2, 4, exact_len=exact, to_sink=_distances_to(adj, 2)
+                )
+            )
+            assert own == given and own

@@ -14,6 +14,7 @@ from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.sampler import (
     SPLIT_NAMES,
     DescriptorPair,
+    _remove_shortcuts,
     build_dataset,
     collect_descriptors,
     sample_instance,
@@ -178,6 +179,20 @@ class TestSampleInstance:
         nodes = {n for e in inst.edges for n in (e[0], e[2])}
         assert nodes == set(range(len(nodes)))
         assert inst.source == 0
+
+
+class TestRemoveShortcuts:
+    def test_nested_shortcuts_lose_their_newest_edge_each_round(self):
+        # resolution path 0-1-2-3-4-5 (length 5); the outer shortcut
+        # 0-7-5 (length 2) nests around the inner one 1-6-4 (0-1-6-4-5,
+        # length 4)
+        path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        noise_order = [(1, 6), (0, 7), (6, 4), (7, 5)]
+        edges = {key: 0 for key in path + noise_order}
+        _remove_shortcuts(edges, noise_order, 0, 5, 5)
+        # round 1 drops (7, 5), newer than (0, 7); round 2 drops (6, 4),
+        # newer than (1, 6); round 3 finds distance 5 and stops
+        assert list(edges) == path + [(1, 6), (0, 7)]
 
 
 class TestBuildDataset:
