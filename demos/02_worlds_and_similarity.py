@@ -9,8 +9,6 @@ Run: python demos/02_worlds_and_similarity.py
 
 import random
 
-import numpy as np
-
 from logicworlds import (
     generate_alphabet,
     generate_rules,
@@ -34,7 +32,8 @@ print(f"w={w}, s={s} -> {len(partition.worlds)} worlds")
 
 sims = similarity_matrix(partition.worlds)
 print("\nsimilarity matrix (rule overlap counts):")
-print(np.array2string(sims))
+for row in sims:
+    print(" ".join(f"{overlap:2d}" for overlap in row))
 
 target = partition.worlds[0]
 pool = partition.worlds[1:]

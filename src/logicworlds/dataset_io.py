@@ -23,9 +23,8 @@ import enum
 import json
 import shutil
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, SuiteFormatError
 from .rules import RelationId, ruleset_from_dict, ruleset_to_dict
@@ -78,15 +77,14 @@ def compute_stats(ds: WorldDataset, split: str = "train") -> WorldStats:
     instances = ds.all_instances()
     if not instances:
         raise ConfigError("cannot compute statistics of an empty dataset")
-    lengths = np.array([len(inst.descriptor) for inst in instances], dtype=float)
-    nodes = np.array([inst.node_count for inst in instances], dtype=float)
-    edges = np.array([len(inst.edges) for inst in instances], dtype=float)
+    n = len(instances)
+    # integer sums divided once: the correctly rounded quotient
     return WorldStats(
         num_classes=len({inst.target for inst in instances}),
         num_descriptors=len({inst.descriptor for inst in instances}),
-        avg_resolution_length=float(lengths.mean()),
-        avg_nodes=float(nodes.mean()),
-        avg_edges=float(edges.mean()),
+        avg_resolution_length=sum(len(inst.descriptor) for inst in instances) / n,
+        avg_nodes=sum(inst.node_count for inst in instances) / n,
+        avg_edges=sum(len(inst.edges) for inst in instances) / n,
         split=split,
     )
 
@@ -150,6 +148,14 @@ def _load_json(path: Path):
         raise SuiteFormatError(f"{path}: missing suite file")
     except json.JSONDecodeError as exc:
         raise SuiteFormatError(f"{path}:{exc.lineno}: {exc.msg}")
+
+
+def _parse(path: Path, parse, doc):
+    """``parse(doc)``, with a malformed record reported against its file."""
+    try:
+        return parse(doc)
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
+        raise SuiteFormatError(f"{path}: bad record ({exc!r})")
 
 
 def world_dir_name(world_id: int) -> str:
@@ -227,9 +233,15 @@ def write_world(
 def read_world(path: Path, world_id: int) -> tuple[dict, WorldGraph, WorldDataset]:
     """Inverse of :func:`write_world`; returns (rules doc, graph, dataset)."""
     world_path = path / world_dir_name(world_id)
-    rules_doc = _load_json(world_path / "rules.json")
-    graph = worldgraph_from_dict(_load_json(world_path / "world_graph.json"))
-    stats_doc = _load_json(world_path / "stats.json")
+    rules_file = world_path / "rules.json"
+    rules_doc = _load_json(rules_file)
+    world_rules = _parse(rules_file, ruleset_from_dict, rules_doc)
+    graph_file = world_path / "world_graph.json"
+    graph = _parse(graph_file, worldgraph_from_dict, _load_json(graph_file))
+    stats_file = world_path / "stats.json"
+    max_walk_len, sampling_info = _parse(
+        stats_file, itemgetter("max_walk_len", "sampling_info"), _load_json(stats_file)
+    )
     instances: dict[str, list[Instance]] = {}
     for split in SPLIT_NAMES:
         file = world_path / f"{split}.jsonl"
@@ -249,9 +261,9 @@ def read_world(path: Path, world_id: int) -> tuple[dict, WorldGraph, WorldDatase
     ds = WorldDataset(
         world_id=world_id,
         instances=instances,
-        max_walk_len=stats_doc["max_walk_len"],
-        sampling_info=stats_doc["sampling_info"],
-        rules=ruleset_from_dict(rules_doc),
+        max_walk_len=max_walk_len,
+        sampling_info=sampling_info,
+        rules=world_rules,
     )
     return rules_doc, graph, ds
 
@@ -261,7 +273,7 @@ def write_manifest(
     config_doc: dict,
     rules_doc: dict,
     worlds_doc: list[dict],
-    similarity: np.ndarray,
+    similarity: list[list[int]],
     protocols: dict,
 ) -> None:
     _dump_json(
@@ -271,7 +283,7 @@ def write_manifest(
             "seed": config_doc["seed"],
             "rules": rules_doc,
             "worlds": worlds_doc,
-            "similarity": similarity.tolist(),
+            "similarity": similarity,
             "protocols": protocols,
         },
     )

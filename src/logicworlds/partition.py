@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .rules import RuleSet, select_rules
 
@@ -65,14 +63,14 @@ def similarity(a: WorldSpec, b: WorldSpec) -> int:
     return len(set(a.rule_indices) & set(b.rule_indices))
 
 
-def similarity_matrix(worlds: list[WorldSpec]) -> np.ndarray:
-    """Symmetric overlap-count matrix, diagonal = rules per world."""
-    n = len(worlds)
-    sims = np.zeros((n, n), dtype=np.int64)
+def similarity_matrix(worlds: list[WorldSpec]) -> list[list[int]]:
+    """Symmetric overlap-count matrix as rows, diagonal = rules per world."""
     sets = [set(w.rule_indices) for w in worlds]
-    for i in range(n):
+    n = len(sets)
+    sims = [[0] * n for _ in range(n)]
+    for i, a in enumerate(sets):
         for j in range(i, n):
-            sims[i, j] = sims[j, i] = len(sets[i] & sets[j])
+            sims[i][j] = sims[j][i] = len(a & sets[j])
     return sims
 
 

@@ -13,6 +13,12 @@ agreement, no shortcut, all same-length paths consistent); certification
 recomputes every check from the instance alone, taking nothing from the
 sampler. :func:`symbolic_baseline_solve` is the perfect-accuracy
 reference solver used as the in-repo baseline.
+
+Both walk an instance the same way: one pass over its edges builds the
+sorted successor lists and the predecessor lists
+(:func:`instance_adjacency`), one reverse BFS over the latter gives every
+node's distance to the sink, and an iterative depth-first walk over the
+former enumerates simple paths, pruned by that table.
 """
 
 from __future__ import annotations
@@ -141,31 +147,32 @@ def brute_force_resolve(
     return frozenset(results)
 
 
-def out_adjacency(
+def instance_adjacency(
     edges: Iterable[tuple[int, RelationId, int]]
-) -> dict[int, list[tuple[int, RelationId]]]:
-    """Successor lists sorted by (node, label) for deterministic walks."""
-    adj: dict[int, list[tuple[int, RelationId]]] = {}
-    for u, r, v in edges:
-        adj.setdefault(u, []).append((v, r))
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
+) -> tuple[dict[int, list[tuple[int, RelationId]]], dict[int, list[int]]]:
+    """Successor and predecessor lists of an instance, in one pass over its edges.
 
-
-def shortest_distance(
-    adj: dict[int, list[tuple[int, RelationId]]], source: int, sink: int
-) -> int | None:
-    """Directed hop count, None when the sink is unreachable."""
-    return _distances_to(adj, sink).get(source)
-
-
-def _distances_to(adj, sink: int) -> dict[int, int]:
-    """Reverse BFS: node -> hop distance to the sink (pruning table)."""
+    Successor lists are sorted by (node, label) for deterministic walks;
+    predecessor lists feed the reverse BFS of :func:`_distances_to`,
+    whose result does not depend on their order.
+    """
+    out: dict[int, list[tuple[int, RelationId]]] = {}
     rev: dict[int, list[int]] = {}
-    for u, nbrs in adj.items():
-        for v, _ in nbrs:
-            rev.setdefault(v, []).append(u)
+    for u, r, v in edges:
+        out.setdefault(u, []).append((v, r))
+        rev.setdefault(v, []).append(u)
+    for nbrs in out.values():
+        nbrs.sort()
+    return out, rev
+
+
+def shortest_distance(rev: dict[int, list[int]], source: int, sink: int) -> int | None:
+    """Directed hop count over predecessor lists ``rev``, None when unreachable."""
+    return _distances_to(rev, sink).get(source)
+
+
+def _distances_to(rev: dict[int, list[int]], sink: int) -> dict[int, int]:
+    """Reverse BFS over predecessor lists: node -> hop distance to the sink."""
     dist = {sink: 0}
     queue = deque([sink])
     while queue:
@@ -183,41 +190,46 @@ def iter_simple_path_labels(
     sink: int,
     max_len: int,
     exact_len: int | None = None,
-    to_sink: dict[int, int] | None = None,
+    *,
+    to_sink: dict[int, int],
 ) -> Iterator[tuple[RelationId, ...]]:
-    """Label sequences of simple directed source->sink paths.
+    """Label sequences of simple directed source->sink paths, depth first.
 
     Paths longer than ``max_len`` edges are skipped, as are prefixes that
-    cannot reach the sink within budget (reverse-distance pruning by
-    ``to_sink``, the table of :func:`_distances_to`, computed when absent).
+    cannot reach the sink within budget (pruning by ``to_sink``, the
+    :func:`_distances_to` table of ``sink``). One explicit stack of
+    successor iterators replaces recursion, so a path costs no nested
+    generator per edge.
     """
-    if to_sink is None:
-        to_sink = _distances_to(adj, sink)
     if source not in to_sink:
         return
-    path_labels: list[RelationId] = []
+    budget = max_len if exact_len is None else exact_len
+    labels: list[RelationId] = []
+    path = [source]
     visited = {source}
-
-    def walk(node: int) -> Iterator[tuple[RelationId, ...]]:
-        for v, r in adj.get(node, ()):
-            length = len(path_labels) + 1
+    stack = [iter(adj.get(source, ()))]
+    while stack:
+        length = len(labels) + 1
+        for v, r in stack[-1]:
             if v == sink:
                 # simple paths end at the sink, never pass through it
                 if exact_len is None or length == exact_len:
-                    yield tuple(path_labels) + (r,)
+                    yield (*labels, r)
                 continue
-            if v in visited or length >= max_len:
-                continue
-            remaining = (exact_len if exact_len is not None else max_len) - length
-            if to_sink.get(v, max_len + 1) > remaining:
+            # a node missing from to_sink cannot reach the sink: its
+            # default distance, budget, always exceeds the remainder
+            if v in visited or length >= max_len or to_sink.get(v, budget) > budget - length:
                 continue
             visited.add(v)
-            path_labels.append(r)
-            yield from walk(v)
-            path_labels.pop()
-            visited.remove(v)
-
-    yield from walk(source)
+            labels.append(r)
+            path.append(v)
+            stack.append(iter(adj.get(v, ())))
+            break
+        else:
+            stack.pop()
+            if labels:
+                labels.pop()
+                visited.remove(path.pop())
 
 
 def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
@@ -250,8 +262,8 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
             path_labels.append(r)
         matches = matches and tuple(path_labels) == tuple(inst.descriptor)
 
-    adj = out_adjacency(inst.edges)
-    to_sink = _distances_to(adj, inst.sink)
+    adj, rev = instance_adjacency(inst.edges)
+    to_sink = _distances_to(rev, inst.sink)
     n = len(inst.descriptor)
     shortcut_free = to_sink.get(inst.source) == n
 
@@ -281,9 +293,12 @@ def solve_instance(
     Returns the unique resolvable relation; ties break toward the
     smallest relation id; None when nothing resolves.
     """
-    adj = out_adjacency(inst.edges)
+    adj, rev = instance_adjacency(inst.edges)
+    to_sink = _distances_to(rev, inst.sink)
     candidates: set[RelationId] = set()
-    for labels in iter_simple_path_labels(adj, inst.source, inst.sink, max_len):
+    for labels in iter_simple_path_labels(
+        adj, inst.source, inst.sink, max_len, to_sink=to_sink
+    ):
         candidates |= resolve_descriptor(rules, labels)
     return min(candidates) if candidates else None
 

@@ -29,6 +29,10 @@ SPLIT_NAMES = ("train", "valid", "test")
 MAX_WALKS_PER_EDGE = 10_000
 MAX_INSTANCE_ATTEMPTS = 50
 
+# ((u, v), r, far): an edge (u, r, v) seen from one endpoint, keyed as
+# the noise loop stores it, with the other endpoint
+IncidentEdge = tuple[tuple[NodeId, NodeId], RelationId, NodeId]
+
 
 @dataclass(frozen=True)
 class DescriptorPair:
@@ -218,7 +222,7 @@ def sample_instance(
     cfg: GenConfig,
     rng: random.Random,
     split: str = "train",
-    adjacency: dict[NodeId, list[tuple[NodeId, RelationId, NodeId]]] | None = None,
+    adjacency: dict[NodeId, list[IncidentEdge]] | None = None,
 ) -> Instance:
     """Embed the resolution path in a BFS-sampled noisy neighborhood.
 
@@ -236,22 +240,21 @@ def sample_instance(
     edges: dict[tuple[NodeId, NodeId], RelationId] = {}
     for a, b in zip(path, path[1:]):
         edges[(a, b)] = g.edges[(a, b)]
-    path_edge_keys = set(edges)
     noise_order: list[tuple[NodeId, NodeId]] = []
+    probabilities = [cfg.noise_gamma**depth for depth in range(1, cfg.noise_depth + 1)]
 
     for anchor in path:
         frontier = [anchor]
-        for depth in range(1, cfg.noise_depth + 1):
-            p = cfg.noise_gamma**depth
+        for p in probabilities:
             next_frontier: list[NodeId] = []
             for node in frontier:
-                for u, r, v in adjacency.get(node, ()):
-                    if (u, v) in edges:
+                for key, r, far in adjacency.get(node, ()):
+                    if key in edges:
                         continue
                     if rng.random() < p:
-                        edges[(u, v)] = r
-                        noise_order.append((u, v))
-                        next_frontier.append(v if u == node else u)
+                        edges[key] = r
+                        noise_order.append(key)
+                        next_frontier.append(far)
             frontier = next_frontier
 
     # the direct edge can only have entered as noise: the resolution
@@ -283,17 +286,20 @@ def sample_instance(
     )
 
 
-def incident_adjacency(
-    g: WorldGraph,
-) -> dict[NodeId, list[tuple[NodeId, RelationId, NodeId]]]:
-    """Node -> incident edges in both directions, sorted for determinism."""
+def incident_adjacency(g: WorldGraph) -> dict[NodeId, list[IncidentEdge]]:
+    """Node -> incident edges in both directions, in (u, r, v) order.
+
+    Each entry is ``((u, v), r, far)``: the edge key as the noise loop
+    stores it, the label, and the endpoint other than the node.
+    """
     adj: dict[NodeId, list[tuple[NodeId, RelationId, NodeId]]] = {}
     for (u, v), r in g.edges.items():
         adj.setdefault(u, []).append((u, r, v))
         adj.setdefault(v, []).append((u, r, v))
-    for edges in adj.values():
-        edges.sort()
-    return adj
+    return {
+        node: [((u, v), r, v if u == node else u) for u, r, v in sorted(edges)]
+        for node, edges in adj.items()
+    }
 
 
 def _remove_shortcuts(
@@ -312,13 +318,13 @@ def _remove_shortcuts(
     for nbrs in out.values():
         nbrs.sort()
     while True:
-        path = _shortest_path(out, source, sink)
-        assert path is not None, "resolution path edges are never deleted"
-        if len(path) - 1 >= resolution_len:
+        path = _shortest_path(out, source, sink, resolution_len - 1)
+        if path is None:
             return
         offending = [
             (a, b) for a, b in zip(path, path[1:]) if (a, b) in insertion
         ]
+        # only noise edges are deleted, so the resolution path survives
         assert offending, "a shorter path cannot consist of resolution edges only"
         newest = max(offending, key=insertion.__getitem__)
         del edges[newest]
@@ -326,11 +332,16 @@ def _remove_shortcuts(
 
 
 def _shortest_path(
-    out: dict[NodeId, list[NodeId]], source: NodeId, sink: NodeId
+    out: dict[NodeId, list[NodeId]], source: NodeId, sink: NodeId, max_hops: int
 ) -> list[NodeId] | None:
+    """First BFS path of at most ``max_hops`` edges, None when there is none.
+
+    The BFS stops after ``max_hops`` levels; within them it visits nodes
+    in the same order as an unbounded one, so it finds the same path.
+    """
     parent = {source: source}
     frontier = [source]
-    while frontier:
+    for _ in range(max_hops):
         next_frontier: list[NodeId] = []
         for node in frontier:
             for v in out.get(node, ()):

@@ -114,12 +114,24 @@ def build_world(
     return graph, dataset
 
 
+def _select_worlds(suite: Suite, world_ids: list[int] | None) -> list[WorldSpec]:
+    """The plan's worlds, or those named by ``world_ids``, in plan order.
+
+    A world id the plan does not have is a ConfigError.
+    """
+    if world_ids is None:
+        return suite.worlds
+    unknown = set(world_ids) - {w.world_id for w in suite.worlds}
+    if unknown:
+        n = len(suite.worlds)
+        raise ConfigError(f"world ids {sorted(unknown)} not in the plan's {n} worlds")
+    return [w for w in suite.worlds if w.world_id in world_ids]
+
+
 def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> Suite:
     """Generate the whole suite in memory (optionally a subset of worlds)."""
     suite = plan_suite(config)
-    for world in suite.worlds:
-        if world_ids is not None and world.world_id not in world_ids:
-            continue
+    for world in _select_worlds(suite, world_ids):
         graph, dataset = build_world(suite, world)
         suite.graphs[world.world_id] = graph
         suite.datasets[world.world_id] = dataset
@@ -230,15 +242,9 @@ def generate_suite_to_disk(
     plan does not have is a ConfigError, raised before anything is written.
     """
     suite = plan_suite(config)
-    unknown = set(world_ids or ()) - {w.world_id for w in suite.worlds}
-    if unknown:
-        n = len(suite.worlds)
-        raise ConfigError(f"world ids {sorted(unknown)} not in the plan's {n} worlds")
+    selected = _select_worlds(suite, world_ids)
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    selected = [
-        w for w in suite.worlds if world_ids is None or w.world_id in world_ids
-    ]
     tasks = [(suite, world, str(out)) for world in selected]
     info: dict[int, dict] = {}
     if workers > 1 and len(tasks) > 1:

@@ -148,6 +148,30 @@ class TestValidate:
         assert rc == 2
         assert f"{manifest_file}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, tamper",
+        [
+            ("stats.json", lambda doc: doc.pop("max_walk_len")),
+            ("rules.json", lambda doc: doc["rules"][0].pop("head")),
+            ("world_graph.json", lambda doc: doc["edges"][0].pop()),
+        ],
+        ids=["stats_without_max_walk_len", "rule_without_head", "two_field_graph_edge"],
+    )
+    def test_malformed_world_file_is_format_error_naming_it(
+        self, suite_dir, tmp_path, capsys, name, tamper
+    ):
+        import shutil
+
+        broken = tmp_path / "malformed"
+        shutil.copytree(suite_dir, broken)
+        world_file = broken / "rule_0" / name
+        doc = json.loads(world_file.read_text())
+        tamper(doc)
+        world_file.write_text(json.dumps(doc))
+        rc = main(["validate", str(broken)])
+        assert rc == 2
+        assert f"{world_file}:" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_perfect_accuracy_rows(self, suite_dir, capsys):

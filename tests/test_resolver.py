@@ -1,14 +1,17 @@
 import dataclasses
 import random
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError
 from logicworlds.resolver import (
     _distances_to,
     brute_force_resolve,
+    instance_adjacency,
     iter_simple_path_labels,
-    out_adjacency,
     resolution_chart,
     resolve_descriptor,
     shortest_distance,
@@ -257,21 +260,96 @@ class TestBaselineSolver:
         assert symbolic_baseline_solve(CHAIN_RULES, single_world_dataset([])) is None
 
 
+def reference_simple_path_labels(edges, source, sink, max_len, exact_len=None):
+    """The recursive walk the iterative one replaced, kept as its reference.
+
+    It builds its own sorted successor lists and derives the reverse
+    adjacency from them, as the resolver did before both came from one
+    pass over the edges.
+    """
+    adj = {}
+    for u, r, v in edges:
+        adj.setdefault(u, []).append((v, r))
+    for nbrs in adj.values():
+        nbrs.sort()
+    rev = {}
+    for u, nbrs in adj.items():
+        for v, _ in nbrs:
+            rev.setdefault(v, []).append(u)
+    to_sink = {sink: 0}
+    queue = deque([sink])
+    while queue:
+        v = queue.popleft()
+        for u in rev.get(v, ()):
+            if u not in to_sink:
+                to_sink[u] = to_sink[v] + 1
+                queue.append(u)
+    if source not in to_sink:
+        return
+    path_labels = []
+    visited = {source}
+
+    def walk(node):
+        for v, r in adj.get(node, ()):
+            length = len(path_labels) + 1
+            if v == sink:
+                if exact_len is None or length == exact_len:
+                    yield tuple(path_labels) + (r,)
+                continue
+            if v in visited or length >= max_len:
+                continue
+            remaining = (exact_len if exact_len is not None else max_len) - length
+            if to_sink.get(v, max_len + 1) > remaining:
+                continue
+            visited.add(v)
+            path_labels.append(r)
+            yield from walk(v)
+            path_labels.pop()
+            visited.remove(v)
+
+    yield from walk(source)
+
+
+@st.composite
+def walk_queries(draw):
+    """A labelled digraph of up to 7 nodes with a source, sink and bounds."""
+    nodes = st.integers(0, draw(st.integers(1, 6)))
+    edges = draw(st.lists(st.tuples(nodes, st.integers(0, 2), nodes), unique=True, max_size=30))
+    max_len = draw(st.integers(1, 7))
+    exact_len = draw(st.none() | st.integers(1, max_len + 1))
+    return edges, draw(nodes), draw(nodes), max_len, exact_len
+
+
 class TestGraphHelpers:
     def test_shortest_distance(self):
-        adj = out_adjacency([(0, 0, 1), (1, 0, 2), (0, 5, 2)])
-        assert shortest_distance(adj, 0, 2) == 1
-        assert shortest_distance(adj, 2, 0) is None
-        assert shortest_distance(adj, 2, 2) == 0
+        _, rev = instance_adjacency([(0, 0, 1), (1, 0, 2), (0, 5, 2)])
+        assert shortest_distance(rev, 0, 2) == 1
+        assert shortest_distance(rev, 2, 0) is None
+        assert shortest_distance(rev, 2, 2) == 0
 
     def test_given_distance_table_yields_the_same_paths(self):
         edges = [(0, 0, 1), (1, 1, 2), (0, 2, 3), (3, 3, 2), (1, 4, 3), (2, 5, 4)]
-        adj = out_adjacency(edges)
+        adj, rev = instance_adjacency(edges)
         for exact in (None, 2, 3):
-            own = list(iter_simple_path_labels(adj, 0, 2, 4, exact_len=exact))
+            reference = list(reference_simple_path_labels(edges, 0, 2, 4, exact_len=exact))
             given = list(
                 iter_simple_path_labels(
-                    adj, 0, 2, 4, exact_len=exact, to_sink=_distances_to(adj, 2)
+                    adj, 0, 2, 4, exact_len=exact, to_sink=_distances_to(rev, 2)
                 )
             )
-            assert own == given and own
+            assert reference == given and reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_queries())
+    @example(([(0, 0, 1), (1, 0, 2)], 0, 2, 1, 2))  # exact_len beyond max_len
+    def test_iterative_walk_matches_recursive_reference(self, query):
+        edges, source, sink, max_len, exact_len = query
+        adj, rev = instance_adjacency(edges)
+        walked = list(
+            iter_simple_path_labels(
+                adj, source, sink, max_len, exact_len, to_sink=_distances_to(rev, sink)
+            )
+        )
+        assert walked == list(
+            reference_simple_path_labels(edges, source, sink, max_len, exact_len)
+        )

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.partition import WorldSpec
 from logicworlds.resolver import (
-    out_adjacency,
+    instance_adjacency,
     resolve_descriptor,
     shortest_distance,
     validate_instance,
@@ -159,8 +161,8 @@ class TestSampleInstance:
         local = random.Random(0)
         for pair in pairs[:60]:
             inst = sample_instance(graph, pair, cfg, local)
-            adj = out_adjacency(inst.edges)
-            assert shortest_distance(adj, inst.source, inst.sink) == len(
+            _, rev = instance_adjacency(inst.edges)
+            assert shortest_distance(rev, inst.source, inst.sink) == len(
                 inst.descriptor
             )
 
@@ -193,6 +195,73 @@ class TestRemoveShortcuts:
         # round 1 drops (7, 5), newer than (0, 7); round 2 drops (6, 4),
         # newer than (1, 6); round 3 finds distance 5 and stops
         assert list(edges) == path + [(1, 6), (0, 7)]
+
+
+def reference_remove_shortcuts(edges, noise_order, source, sink, resolution_len):
+    """Shortcut pruning with an unbounded BFS per round, kept as the reference.
+
+    Each round takes the first BFS path to the sink at whatever depth it
+    lies, and pruning stops once that path is as long as the resolution
+    path.
+    """
+    insertion = {key: i for i, key in enumerate(noise_order)}
+    out = {}
+    for u, v in edges:
+        out.setdefault(u, []).append(v)
+    for nbrs in out.values():
+        nbrs.sort()
+    while True:
+        path = reference_shortest_path(out, source, sink)
+        assert path is not None, "resolution path edges are never deleted"
+        if len(path) - 1 >= resolution_len:
+            return
+        offending = [(a, b) for a, b in zip(path, path[1:]) if (a, b) in insertion]
+        newest = max(offending, key=insertion.__getitem__)
+        del edges[newest]
+        out[newest[0]].remove(newest[1])
+
+
+def reference_shortest_path(out, source, sink):
+    parent = {source: source}
+    frontier = [source]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for v in out.get(node, ()):
+                if v not in parent:
+                    parent[v] = node
+                    if v == sink:
+                        path = [v]
+                        while path[-1] != source:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return None
+
+
+@st.composite
+def noisy_paths(draw):
+    """A resolution path over up to 7 nodes plus noise edges in insertion order."""
+    n = draw(st.integers(3, 7))
+    order = draw(st.permutations(range(n)))
+    path = order[: draw(st.integers(3, n))]
+    path_edges = list(zip(path, path[1:]))
+    others = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in path_edges]
+    noise = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    return path, path_edges, noise
+
+
+class TestRemoveShortcutsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(noisy_paths())
+    def test_bounded_bfs_deletes_the_same_edges(self, case):
+        path, path_edges, noise = case
+        edges = {key: 0 for key in path_edges + noise}
+        expected = dict(edges)
+        reference_remove_shortcuts(expected, noise, path[0], path[-1], len(path) - 1)
+        _remove_shortcuts(edges, noise, path[0], path[-1], len(path) - 1)
+        assert list(edges) == list(expected)
 
 
 class TestBuildDataset:

@@ -2,7 +2,7 @@ import pytest
 
 from logicworlds import GenConfig, SuiteConfig, generate_suite, symbolic_baseline_solve
 from logicworlds.errors import ConfigError
-from logicworlds.suite import assign_world_splits
+from logicworlds.suite import assign_world_splits, plan_suite
 
 from conftest import tiny_suite_config
 
@@ -25,6 +25,12 @@ class TestGenerateSuite:
         suite = generate_suite(config, world_ids=[1])
         assert set(suite.datasets) == {1}
         assert len(suite.worlds) > 1  # the plan still covers the partition
+
+    def test_unknown_world_id_is_config_error(self):
+        config = tiny_suite_config()
+        worlds = len(plan_suite(config).worlds)
+        with pytest.raises(ConfigError, match=f"999.*{worlds} worlds"):
+            generate_suite(config, world_ids=[1, 999])
 
     def test_minimum_walk_length_two(self):
         config = SuiteConfig(
