@@ -3,12 +3,14 @@
 Subcommands::
 
     logicworlds generate --config cfg.json --out DIR [--seed N] [--workers N] [--world-id N]
-    logicworlds validate SUITE_DIR [--world-id N]
-    logicworlds solve SUITE_DIR [--world-id N]
+    logicworlds validate SUITE_DIR [--workers N] [--world-id N]
+    logicworlds solve SUITE_DIR [--workers N] [--world-id N]
     logicworlds stats SUITE_DIR [--accuracy FILE] [--world-id N]
 
-Exit codes: 0 success, 1 validation/generation failure, 2 I/O or config
-error.
+``--workers`` (default: the CPUs this process may use) sets how many
+worlds are built, certified or solved at once; output does not depend
+on it. Exit codes: 0 success, 1 validation/generation failure, 2 I/O or
+config error.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 from .config import SuiteConfig, load_config
-from .dataset_io import _load_json, difficulty_bucket, read_manifest, read_world
+from .dataset_io import _load_json, _parse, difficulty_bucket, read_manifest, read_world
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
 from .rules import ruleset_from_dict
-from .suite import generate_suite_to_disk
+from .sampler import SPLIT_NAMES
+from .suite import generate_suite_to_disk, map_worlds
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -44,27 +48,42 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logicworlds",
         description="Generate and validate logic-grounded relation prediction benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=_usable_cpus(),
+        help="worlds processed in parallel (default: %(default)s, the usable CPUs)",
+    )
 
-    gen = sub.add_parser("generate", help="generate a suite onto disk")
+    gen = sub.add_parser("generate", parents=[workers], help="generate a suite onto disk")
     gen.add_argument("--config", type=Path, help="JSON config file (defaults otherwise)")
     gen.add_argument("--seed", type=int, help="override the config seed")
     gen.add_argument("--out", type=Path, help="output directory")
-    gen.add_argument("--workers", type=int, default=1, help="parallel world builders")
     gen.add_argument("--world-id", type=int, help="build only this world")
     gen.set_defaults(func=cmd_generate)
 
-    val = sub.add_parser("validate", help="certify every instance of a suite")
+    val = sub.add_parser(
+        "validate", parents=[workers], help="certify every instance of a suite"
+    )
     val.add_argument("suite", type=Path)
     val.add_argument("--world-id", type=int, help="restrict to one world")
     val.set_defaults(func=cmd_validate)
 
-    sol = sub.add_parser("solve", help="run the symbolic baseline solver")
+    sol = sub.add_parser("solve", parents=[workers], help="run the symbolic baseline solver")
     sol.add_argument("suite", type=Path)
     sol.add_argument("--world-id", type=int, help="restrict to one world")
     sol.set_defaults(func=cmd_solve)
@@ -87,17 +106,12 @@ def cmd_generate(args) -> int:
     world_ids = [args.world_id] if args.world_id is not None else None
     info = generate_suite_to_disk(config, out, workers=args.workers, world_ids=world_ids)
 
-    manifest = read_manifest(Path(out))
     pairs = sum(w["descriptor_pairs"] for w in info.values())
     ambiguous = sum(w["ambiguous"] for w in info.values())
-    instances = 0
-    for wid in sorted(info):
-        stats = _load_json(Path(out) / f"rule_{wid}" / "stats.json")
-        instances += sum(stats["instances"].values())
     distinct = [w["distinct_descriptors"] for w in info.values()]
-    print(f"rules: {len(manifest['rules']['rules'])}")
-    print(f"worlds: {len(info)} of {len(manifest['worlds'])}")
-    print(f"instances: {instances}")
+    print(f"rules: {info.rules}")
+    print(f"worlds: {len(info)} of {info.worlds}")
+    print(f"instances: {sum(info.instances.values())}")
     if distinct:
         print(
             f"descriptors: {sum(distinct)} pooled, "
@@ -118,34 +132,57 @@ def _world_ids(manifest: dict, only: int | None) -> list[int]:
     return ids
 
 
+VALIDATE_COUNTS = ("instances", "valid", "ambiguous", "shortcut_violations", "split_leaks")
+
+
+def validate_world(path: Path, wid: int) -> dict[str, int]:
+    """Certify one world: every instance, and that no descriptor is shared
+    between its train, valid and test splits (the inductive split)."""
+    rules_doc, _, ds = read_world(path, wid)
+    world_rules = ruleset_from_dict(rules_doc)
+    counts = dict.fromkeys(VALIDATE_COUNTS, 0)
+    for inst in ds.all_instances():
+        report = validate_instance(world_rules, inst)
+        counts["instances"] += 1
+        counts["valid"] += report.is_valid
+        counts["ambiguous"] += report.ambiguous
+        counts["shortcut_violations"] += not report.shortcut_free
+    train, valid, test = (
+        {inst.descriptor for inst in ds.instances[split]} for split in SPLIT_NAMES
+    )
+    counts["split_leaks"] = len((train & valid) | (train & test) | (valid & test))
+    return counts
+
+
+def solve_world(path: Path, wid: int) -> float | None:
+    """Baseline accuracy on one world, None when it has no instances."""
+    rules_doc, _, ds = read_world(path, wid)
+    return symbolic_baseline_solve(ruleset_from_dict(rules_doc), ds)
+
+
 def cmd_validate(args) -> int:
-    manifest = read_manifest(args.suite)
-    totals = {"instances": 0, "valid": 0, "ambiguous": 0, "shortcut_violations": 0}
+    wids = _world_ids(read_manifest(args.suite), args.world_id)
+    results = map_worlds(validate_world, [(args.suite, wid) for wid in wids], args.workers)
+    totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
-    for wid in _world_ids(manifest, args.world_id):
-        rules_doc, _, ds = read_world(args.suite, wid)
-        world_rules = ruleset_from_dict(rules_doc)
-        counts = {"instances": 0, "valid": 0, "ambiguous": 0, "shortcut_violations": 0}
-        for inst in ds.all_instances():
-            report = validate_instance(world_rules, inst)
-            counts["instances"] += 1
-            counts["valid"] += report.is_valid
-            counts["ambiguous"] += report.ambiguous
-            counts["shortcut_violations"] += not report.shortcut_free
+    for wid, counts in zip(wids, results):
         per_world[f"rule_{wid}"] = counts
         for key in totals:
             totals[key] += counts[key]
     print(json.dumps({**totals, "worlds": per_world}, indent=2, sort_keys=True))
-    ok = totals["valid"] == totals["instances"] and totals["ambiguous"] == 0
+    ok = (
+        totals["valid"] == totals["instances"]
+        and totals["ambiguous"] == 0
+        and totals["split_leaks"] == 0
+    )
     return EXIT_OK if ok else EXIT_INVALID
 
 
 def cmd_solve(args) -> int:
-    manifest = read_manifest(args.suite)
+    wids = _world_ids(read_manifest(args.suite), args.world_id)
+    results = map_worlds(solve_world, [(args.suite, wid) for wid in wids], args.workers)
     accuracies = []
-    for wid in _world_ids(manifest, args.world_id):
-        rules_doc, _, ds = read_world(args.suite, wid)
-        accuracy = symbolic_baseline_solve(ruleset_from_dict(rules_doc), ds)
+    for wid, accuracy in zip(wids, results):
         if accuracy is None:
             print(f"rule_{wid} no-instances")
             continue
@@ -165,21 +202,11 @@ def cmd_stats(args) -> int:
     rows = []
     agg = {"NC": [], "ND": [], "ARL": [], "AN": [], "AE": []}
     for wid in _world_ids(manifest, args.world_id):
-        doc = _load_json(args.suite / f"rule_{wid}" / "stats.json")
-        row = [
-            f"rule_{wid}",
-            doc["split"],
-            str(doc["num_classes"]),
-            str(doc["num_descriptors"]),
-            f"{doc['avg_resolution_length']:.2f}",
-            f"{doc['avg_nodes']:.3f}",
-            f"{doc['avg_edges']:.3f}",
-        ]
-        agg["NC"].append(doc["num_classes"])
-        agg["ND"].append(doc["num_descriptors"])
-        agg["ARL"].append(doc["avg_resolution_length"])
-        agg["AN"].append(doc["avg_nodes"])
-        agg["AE"].append(doc["avg_edges"])
+        stats_file = args.suite / f"rule_{wid}" / "stats.json"
+        cells, values = _parse(stats_file, _stats_row, _load_json(stats_file))
+        row = [f"rule_{wid}", *cells]
+        for column, value in zip(agg.values(), values):
+            column.append(value)
         if scores is not None:
             acc = scores.get(wid)
             row.append(difficulty_bucket(acc).label if acc is not None else "-")
@@ -199,6 +226,20 @@ def cmd_stats(args) -> int:
         rows.append(agg_row)
     _print_table(header, rows)
     return EXIT_OK
+
+
+STATS_KEYS = ("num_classes", "num_descriptors", "avg_resolution_length", "avg_nodes", "avg_edges")
+
+
+def _stats_row(doc: dict) -> tuple[list[str], list[float]]:
+    """Table cells and NC/ND/ARL/AN/AE values of one world's stats.json."""
+    split = doc["split"]
+    values = [doc[key] for key in STATS_KEYS]
+    for key, value in zip(STATS_KEYS, values):
+        if not isinstance(value, (int, float)):
+            raise TypeError(f"{key} is not a number: {value!r}")
+    nc, nd, arl, an, ae = values
+    return [str(split), str(nc), str(nd), f"{arl:.2f}", f"{an:.3f}", f"{ae:.3f}"], values
 
 
 def _load_accuracy(path: Path) -> dict[int, float]:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -39,11 +40,30 @@ def corrupt_one_target(suite_dir, tmp_path):
 
 class TestGenerate:
     def test_summary_output(self, config_file, tmp_path, capsys):
-        rc = main(["generate", "--config", str(config_file), "--out", str(tmp_path / "s")])
-        out = capsys.readouterr().out
+        out_dir = tmp_path / "s"
+        rc = main(["generate", "--config", str(config_file), "--out", str(out_dir)])
+        out = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert "rules:" in out and "worlds:" in out and "instances:" in out
-        assert "ambiguity rate" in out
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        instances = sum(
+            sum(json.loads((out_dir / f"rule_{w['world_id']}" / "stats.json").read_text())[
+                "instances"
+            ].values())
+            for w in manifest["worlds"]
+        )
+        worlds = len(manifest["worlds"])
+        assert out[:3] == [
+            f"rules: {len(manifest['rules']['rules'])}",
+            f"worlds: {worlds} of {worlds}",
+            f"instances: {instances}",
+        ]
+        assert "ambiguity rate" in out[4]
+
+    def test_workers_below_one_is_config_error_and_writes_nothing(self, config_file, tmp_path):
+        out = tmp_path / "w0"
+        argv = ["generate", "--config", str(config_file), "--out", str(out), "--workers", "0"]
+        assert main(argv) == 2
+        assert not out.exists()
 
     def test_missing_out_is_config_error(self, config_file):
         assert main(["generate", "--config", str(config_file)]) == 2
@@ -120,9 +140,20 @@ class TestValidate:
     def test_unreadable_suite(self, tmp_path):
         assert main(["validate", str(tmp_path / "nowhere")]) == 2
 
-    def test_two_field_edge_is_format_error_with_location(self, suite_dir, tmp_path, capsys):
-        import shutil
+    def test_descriptor_shared_between_splits_fails(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "leak"
+        shutil.copytree(suite_dir, broken)
+        train_line = (broken / "rule_0" / "train.jsonl").read_text().splitlines()[0]
+        with open(broken / "rule_0" / "test.jsonl", "a") as test_file:
+            test_file.write(train_line + "\n")
+        rc = main(["validate", str(broken)])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["valid"] == report["instances"]
+        assert report["worlds"]["rule_0"]["split_leaks"] == 1
+        assert report["split_leaks"] == 1
 
+    def test_two_field_edge_is_format_error_with_location(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "short_edge"
         shutil.copytree(suite_dir, broken)
         split_file = broken / "rule_0" / "train.jsonl"
@@ -136,8 +167,6 @@ class TestValidate:
         assert f"{split_file}:2:" in capsys.readouterr().err
 
     def test_manifest_world_without_id_is_format_error(self, suite_dir, tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "no_world_id"
         shutil.copytree(suite_dir, broken)
         manifest_file = broken / "manifest.json"
@@ -160,8 +189,6 @@ class TestValidate:
     def test_malformed_world_file_is_format_error_naming_it(
         self, suite_dir, tmp_path, capsys, name, tamper
     ):
-        import shutil
-
         broken = tmp_path / "malformed"
         shutil.copytree(suite_dir, broken)
         world_file = broken / "rule_0" / name
@@ -217,6 +244,23 @@ class TestStats:
         row0 = next(l for l in out.splitlines() if l.startswith("rule_0 "))
         assert row0.rstrip().endswith("Hard")
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda doc: doc.pop("num_classes"), lambda doc: doc.update(avg_edges="many")],
+        ids=["without_num_classes", "text_avg_edges"],
+    )
+    def test_malformed_stats_file_is_format_error_naming_it(
+        self, suite_dir, tmp_path, capsys, tamper
+    ):
+        broken = tmp_path / "bad_stats"
+        shutil.copytree(suite_dir, broken)
+        stats_file = broken / "rule_0" / "stats.json"
+        doc = json.loads(stats_file.read_text())
+        tamper(doc)
+        stats_file.write_text(json.dumps(doc))
+        assert main(["stats", str(broken)]) == 2
+        assert f"{stats_file}:" in capsys.readouterr().err
+
     def test_stats_rows_match_stats_files(self, suite_dir, capsys):
         main(["stats", str(suite_dir), "--world-id", "1"])
         out = capsys.readouterr().out
@@ -241,12 +285,31 @@ class TestDeterminism:
 
     def test_workers_do_not_change_bytes(self, config_file, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"
-        assert main(["generate", "--config", str(config_file), "--out", str(a)]) == 0
-        assert (
-            main(
-                ["generate", "--config", str(config_file), "--out", str(b), "--workers", "2"]
-            )
-            == 0
-        )
+        for out, workers in ((a, "1"), (b, "2")):
+            argv = ["generate", "--config", str(config_file), "--out", str(out)]
+            assert main(argv + ["--workers", workers]) == 0
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), str(rel)
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_workers_do_not_change_reports(self, suite_dir, capsys, command):
+        outputs = []
+        for workers in ("1", "2"):
+            assert main([command, str(suite_dir), "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_workers_do_not_change_format_errors(self, suite_dir, tmp_path, capsys, command):
+        broken = tmp_path / "bad_line"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_1" / "valid.jsonl"
+        lines = split_file.read_text().splitlines()
+        lines[2] = '{"edges": [[0, 1]]}'
+        split_file.write_text("\n".join(lines) + "\n")
+        errors = []
+        for workers in ("1", "2"):
+            assert main([command, str(broken), "--workers", workers]) == 2
+            errors.append(capsys.readouterr().err)
+        assert f"{split_file}:3:" in errors[0]
+        assert errors[0] == errors[1]

@@ -2,9 +2,34 @@ import pytest
 
 from logicworlds import GenConfig, SuiteConfig, generate_suite, symbolic_baseline_solve
 from logicworlds.errors import ConfigError
-from logicworlds.suite import assign_world_splits, plan_suite
+from logicworlds.suite import assign_world_splits, map_worlds, plan_suite
 
 from conftest import tiny_suite_config
+
+
+def square_unless_odd(x: int) -> int:
+    if x % 2:
+        raise ValueError(f"odd task {x}")
+    return x * x
+
+
+class TestMapWorlds:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_results_in_task_order(self, workers):
+        tasks = [(x,) for x in range(0, 20, 2)]
+        assert list(map_worlds(square_unless_odd, tasks, workers)) == [x * x for (x,) in tasks]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_task_raises_after_earlier_results(self, workers):
+        results = map_worlds(square_unless_odd, [(0,), (2,), (3,), (4,), (5,)], workers)
+        assert next(results) == 0
+        assert next(results) == 4
+        with pytest.raises(ValueError, match="odd task 3"):
+            next(results)
+
+    def test_workers_below_one_is_config_error_before_any_call(self):
+        with pytest.raises(ConfigError, match="workers"):
+            map_worlds(square_unless_odd, [(3,)], 0)
 
 
 class TestWorldSplits:
