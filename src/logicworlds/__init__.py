@@ -65,7 +65,6 @@ from .suite import (
     generate_suite_to_disk,
     plan_suite,
     read_suite,
-    write_suite,
 )
 from .worldgraph import (
     GenConfig,

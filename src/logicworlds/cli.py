@@ -23,10 +23,18 @@ import sys
 from pathlib import Path
 
 from .config import SuiteConfig, load_config
-from .dataset_io import _load_json, _parse, difficulty_bucket, read_manifest, read_world
+from .dataset_io import (
+    _load_json,
+    _parse,
+    compute_stats,
+    difficulty_bucket,
+    read_manifest,
+    read_world,
+    stats_payload,
+    world_dir_name,
+)
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
-from .rules import ruleset_from_dict
 from .sampler import SPLIT_NAMES
 from .suite import generate_suite_to_disk, map_worlds
 
@@ -132,37 +140,50 @@ def _world_ids(manifest: dict, only: int | None) -> list[int]:
     return ids
 
 
-VALIDATE_COUNTS = ("instances", "valid", "ambiguous", "shortcut_violations", "split_leaks")
+VALIDATE_COUNTS = (
+    "instances", "valid", "ambiguous", "shortcut_violations", "split_leaks", "stats_mismatch"
+)
 
 
-def validate_world(path: Path, wid: int) -> dict[str, int]:
-    """Certify one world: every instance, and that no descriptor is shared
-    between its train, valid and test splits (the inductive split)."""
-    rules_doc, _, ds = read_world(path, wid)
-    world_rules = ruleset_from_dict(rules_doc)
+def validate_world(path: Path, wid: int, split: str) -> dict[str, int]:
+    """Certify one world: every instance, that no descriptor is shared
+    between its train, valid and test splits (the inductive split), and
+    that its stored stats equal the ones recomputed from its instances
+    under the manifest's ``split``."""
+    _, ds, stats_doc = read_world(path, wid)
+    instances = ds.all_instances()
+    if not instances:
+        raise SuiteFormatError(f"{path / world_dir_name(wid)}: world has no instances")
     counts = dict.fromkeys(VALIDATE_COUNTS, 0)
-    for inst in ds.all_instances():
-        report = validate_instance(world_rules, inst)
+    for inst in instances:
+        report = validate_instance(ds.rules, inst)
         counts["instances"] += 1
         counts["valid"] += report.is_valid
         counts["ambiguous"] += report.ambiguous
         counts["shortcut_violations"] += not report.shortcut_free
     train, valid, test = (
-        {inst.descriptor for inst in ds.instances[split]} for split in SPLIT_NAMES
+        {inst.descriptor for inst in ds.instances[name]} for name in SPLIT_NAMES
     )
     counts["split_leaks"] = len((train & valid) | (train & test) | (valid & test))
+    expected = stats_payload(compute_stats(ds, split), ds)
+    counts["stats_mismatch"] = sum(
+        stats_doc.get(key) != expected.get(key) for key in stats_doc.keys() | expected.keys()
+    )
     return counts
 
 
 def solve_world(path: Path, wid: int) -> float | None:
     """Baseline accuracy on one world, None when it has no instances."""
-    rules_doc, _, ds = read_world(path, wid)
-    return symbolic_baseline_solve(ruleset_from_dict(rules_doc), ds)
+    _, ds, _ = read_world(path, wid)
+    return symbolic_baseline_solve(ds.rules, ds)
 
 
 def cmd_validate(args) -> int:
-    wids = _world_ids(read_manifest(args.suite), args.world_id)
-    results = map_worlds(validate_world, [(args.suite, wid) for wid in wids], args.workers)
+    manifest = read_manifest(args.suite)
+    splits = {w["world_id"]: w["split"] for w in manifest["worlds"]}
+    wids = _world_ids(manifest, args.world_id)
+    tasks = [(args.suite, wid, splits[wid]) for wid in wids]
+    results = map_worlds(validate_world, tasks, args.workers)
     totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
     for wid, counts in zip(wids, results):
@@ -174,6 +195,7 @@ def cmd_validate(args) -> int:
         totals["valid"] == totals["instances"]
         and totals["ambiguous"] == 0
         and totals["split_leaks"] == 0
+        and totals["stats_mismatch"] == 0
     )
     return EXIT_OK if ok else EXIT_INVALID
 

@@ -230,17 +230,21 @@ def write_world(
     tmp.rename(final)
 
 
-def read_world(path: Path, world_id: int) -> tuple[dict, WorldGraph, WorldDataset]:
-    """Inverse of :func:`write_world`; returns (rules doc, graph, dataset)."""
+def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dict]:
+    """Inverse of :func:`write_world`; returns (graph, dataset, stats doc).
+
+    The dataset carries the world's rules; the stats doc is the parsed
+    ``stats.json`` as stored.
+    """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
-    rules_doc = _load_json(rules_file)
-    world_rules = _parse(rules_file, ruleset_from_dict, rules_doc)
+    world_rules = _parse(rules_file, ruleset_from_dict, _load_json(rules_file))
     graph_file = world_path / "world_graph.json"
     graph = _parse(graph_file, worldgraph_from_dict, _load_json(graph_file))
     stats_file = world_path / "stats.json"
+    stats_doc = _load_json(stats_file)
     max_walk_len, sampling_info = _parse(
-        stats_file, itemgetter("max_walk_len", "sampling_info"), _load_json(stats_file)
+        stats_file, itemgetter("max_walk_len", "sampling_info"), stats_doc
     )
     instances: dict[str, list[Instance]] = {}
     for split in SPLIT_NAMES:
@@ -265,7 +269,7 @@ def read_world(path: Path, world_id: int) -> tuple[dict, WorldGraph, WorldDatase
         sampling_info=sampling_info,
         rules=world_rules,
     )
-    return rules_doc, graph, ds
+    return graph, ds, stats_doc
 
 
 def write_manifest(
@@ -295,8 +299,9 @@ def read_manifest(path: Path) -> dict:
         if key not in manifest:
             raise SuiteFormatError(f"{path / 'manifest.json'}: missing key {key!r}")
     for pos, world in enumerate(manifest["worlds"]):
-        if not isinstance(world, dict) or "world_id" not in world:
-            raise SuiteFormatError(f"{path / 'manifest.json'}: worlds[{pos}] has no world_id")
+        for key in ("world_id", "split"):
+            if not isinstance(world, dict) or key not in world:
+                raise SuiteFormatError(f"{path / 'manifest.json'}: worlds[{pos}] has no {key}")
     return manifest
 
 

@@ -10,7 +10,8 @@ class DegenerateWorldError(RuntimeError):
 
 
 class GenerationError(RuntimeError):
-    """Generation failed after exhausting bounded retries."""
+    """Generated data broke an invariant the generator guarantees (a closure
+    conflict, or a descriptor or instance that fails certification)."""
 
 
 class SuiteFormatError(ValueError):

@@ -95,9 +95,6 @@ class RuleSet:
         """Distinct head relations, ascending."""
         return tuple(sorted({rule.head for rule in self.rules}))
 
-    def rules_with_head(self, head: RelationId) -> tuple[BinaryRule, ...]:
-        return tuple(rule for rule in self.rules if rule.head == head)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -10,7 +10,7 @@ An instance embeds one resolution path in a noisy neighborhood sampled
 by bounded BFS, with any path shorter than the resolution path pruned
 away, so the query distance equals the descriptor length. Each emitted
 instance is certified by the symbolic resolver before it enters the
-dataset.
+dataset; one that fails is a GenerationError, never resampled.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DegenerateWorldError
+from .errors import ConfigError, DegenerateWorldError, GenerationError
 from .resolver import resolve_descriptor, validate_instance
 from .rules import RelationId, RuleSet
 from .seeds import derive_seed
@@ -27,7 +27,6 @@ from .worldgraph import GenConfig, NodeId, WorldGraph
 
 SPLIT_NAMES = ("train", "valid", "test")
 MAX_WALKS_PER_EDGE = 10_000
-MAX_INSTANCE_ATTEMPTS = 50
 
 # ((u, v), r, far): an edge (u, r, v) seen from one endpoint, keyed as
 # the noise loop stores it, with the other endpoint
@@ -358,27 +357,23 @@ def _shortest_path(
 
 
 def usable_pairs(
-    rules: RuleSet, collection: DescriptorCollection
-) -> tuple[list[DescriptorPair], dict[str, int]]:
-    """Keep pairs whose descriptor resolves exactly to the edge label.
+    rules: RuleSet, collection: DescriptorCollection, world_id: int = 0
+) -> list[DescriptorPair]:
+    """The collection's pairs, each checked to resolve to exactly its edge label.
 
-    Returns the kept pairs plus counters for the dropped ones
-    (unresolved walks, ambiguous descriptors, mismatched resolutions).
-    On a closure-clean world graph only unresolved drops occur.
+    A world graph grows only by refining an edge into a 2-path, and its
+    closure is conflict-free, so every alternate walk of an edge resolves
+    to that edge's label and nothing else. A pair that does not is a
+    GenerationError naming the world, the edge and the descriptor.
     """
-    kept: list[DescriptorPair] = []
-    counts = {"unresolved": 0, "ambiguous": 0, "mismatched": 0}
     for pair in collection.pairs:
         resolved = resolve_descriptor(rules, pair.descriptor)
-        if not resolved:
-            counts["unresolved"] += 1
-        elif len(resolved) > 1:
-            counts["ambiguous"] += 1
-        elif pair.edge[1] not in resolved:
-            counts["mismatched"] += 1
-        else:
-            kept.append(pair)
-    return kept, counts
+        if resolved != {pair.edge[1]}:
+            raise GenerationError(
+                f"world {world_id}: edge {pair.edge} has the alternate walk "
+                f"{list(pair.descriptor)} resolving to {sorted(resolved)}"
+            )
+    return collection.pairs
 
 
 def build_dataset(
@@ -392,24 +387,26 @@ def build_dataset(
 
     Descriptors are sampled with replacement within each split's pool
     (distinct noise draws differentiate repeated descriptors) until the
-    configured per-split instance counts are reached. Every instance
-    must pass resolver validation; failures are resampled with a fresh
-    sub-seed up to a bounded number of attempts.
+    configured per-split instance counts are reached. Each instance is
+    drawn once, from its own sub-seed, and must pass resolver
+    validation; one that fails is a GenerationError naming the world,
+    the split and the instance index. The ``sampling_info`` keys
+    ``resamples``, ``unresolved``, ``ambiguous`` and ``mismatched``
+    therefore always read 0.
     """
     collection = collect_descriptors(g, cfg.max_walk_len)
-    kept, drop_counts = usable_pairs(rules, collection)
-    assignment = split_descriptors(kept, cfg.split_fractions, rng)
+    pairs = usable_pairs(rules, collection, world_id)
+    assignment = split_descriptors(pairs, cfg.split_fractions, rng)
 
     pools: dict[str, dict[tuple[RelationId, ...], list[DescriptorPair]]] = {
         name: {} for name in SPLIT_NAMES
     }
-    for pair in kept:
+    for pair in pairs:
         split = assignment[pair.descriptor]
         pools[split].setdefault(pair.descriptor, []).append(pair)
 
     adjacency = incident_adjacency(g)
     instances: dict[str, list[Instance]] = {name: [] for name in SPLIT_NAMES}
-    resamples = 0
     for split, count in zip(SPLIT_NAMES, cfg.graphs_per_split):
         pool = pools[split]
         if not pool:
@@ -417,33 +414,27 @@ def build_dataset(
         descriptors = list(pool)
         seeds = [rng.getrandbits(64) for _ in range(count)]
         for index in range(count):
-            inst = None
-            for attempt in range(MAX_INSTANCE_ATTEMPTS):
-                inst_rng = random.Random(derive_seed(seeds[index], attempt))
-                descriptor = descriptors[inst_rng.randrange(len(descriptors))]
-                candidates = pool[descriptor]
-                pair = candidates[inst_rng.randrange(len(candidates))]
-                candidate = sample_instance(
-                    g, pair, cfg, inst_rng, split=split, adjacency=adjacency
-                )
-                if validate_instance(rules, candidate).is_valid:
-                    inst = candidate
-                    break
-                resamples += 1
-            if inst is None:
-                raise DegenerateWorldError(
-                    f"world {world_id}: {split} instance {index} failed validation "
-                    f"{MAX_INSTANCE_ATTEMPTS} times"
+            inst_rng = random.Random(derive_seed(seeds[index], 0))
+            descriptor = descriptors[inst_rng.randrange(len(descriptors))]
+            candidates = pool[descriptor]
+            pair = candidates[inst_rng.randrange(len(candidates))]
+            inst = sample_instance(g, pair, cfg, inst_rng, split=split, adjacency=adjacency)
+            if not validate_instance(rules, inst).is_valid:
+                raise GenerationError(
+                    f"world {world_id}: {split} instance {index} failed certification"
                 )
             instances[split].append(inst)
 
     info = {
         "descriptor_pairs": len(collection.pairs),
-        "usable_pairs": len(kept),
+        "usable_pairs": len(pairs),
         "distinct_descriptors": len(assignment),
         "truncated_edges": collection.truncated_edges,
-        "resamples": resamples,
-        **drop_counts,
+        # invariants since every draw is used as is; kept for the file format
+        "resamples": 0,
+        "unresolved": 0,
+        "ambiguous": 0,
+        "mismatched": 0,
     }
     return WorldDataset(
         world_id=world_id,

@@ -154,43 +154,6 @@ def protocol_orderings(suite: Suite) -> dict:
     }
 
 
-def write_suite(path: str | Path, suite: Suite) -> None:
-    """Serialize the suite; inverse of :func:`read_suite`."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    partition = suite.partition()
-    for world in suite.worlds:
-        wid = world.world_id
-        if wid not in suite.datasets:
-            continue
-        ds = suite.datasets[wid]
-        stats = compute_stats(ds, split=suite.world_splits[wid])
-        write_world(
-            out,
-            wid,
-            ruleset_to_dict(partition.world_rules(world)),
-            suite.graphs[wid],
-            ds,
-            stats,
-        )
-    worlds_doc = [
-        {
-            "world_id": w.world_id,
-            "rule_indices": list(w.rule_indices),
-            "split": suite.world_splits[w.world_id],
-        }
-        for w in suite.worlds
-    ]
-    write_manifest(
-        out,
-        suite.config.to_dict(),
-        ruleset_to_dict(suite.rules),
-        worlds_doc,
-        similarity_matrix(suite.worlds),
-        protocol_orderings(suite),
-    )
-
-
 def read_suite(path: str | Path) -> Suite:
     """Load a suite directory back into memory."""
     root = Path(path)
@@ -212,7 +175,7 @@ def read_suite(path: str | Path) -> Suite:
         world_dir = root / f"rule_{wid}"
         if not world_dir.exists():
             continue
-        _, graph, dataset = read_world(root, wid)
+        graph, dataset, _ = read_world(root, wid)
         suite.graphs[wid] = graph
         suite.datasets[wid] = dataset
     return suite
@@ -280,7 +243,7 @@ def _build_and_write(suite: Suite, world: WorldSpec, out: Path) -> tuple[dict, i
     write_world(
         out,
         world.world_id,
-        ruleset_to_dict(suite.partition().world_rules(world)),
+        ruleset_to_dict(dataset.rules),
         graph,
         dataset,
         stats,
@@ -296,8 +259,10 @@ def generate_suite_to_disk(
 ) -> WrittenSuite:
     """Generate straight to disk, world by world (optionally in parallel).
 
-    Returns the per-world sampling info keyed by world_id, with the
-    plan's sizes and the instance counts (see :class:`WrittenSuite`).
+    The only suite writer: it writes each world directory and the
+    manifest. Returns the per-world sampling info keyed by world_id,
+    with the plan's sizes and the instance counts (see
+    :class:`WrittenSuite`).
     The result and the bytes on disk are independent of ``workers``. A
     world id the plan does not have, or ``workers`` < 1, is a
     ConfigError, raised before anything is written.

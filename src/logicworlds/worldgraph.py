@@ -13,15 +13,14 @@ on this as the generation oracle.
 Rule grammars are not confluent, so an expansion could derive a second
 label for a pair that already carries an edge. The generator maintains
 the derivation fixpoint incrementally and rejects such expansions
-outright; an independent from-scratch forward chaining pass
-(:func:`closure_check`) re-verifies the finished graph, and a graph
-that still conflicts is regenerated from a perturbed sub-seed.
+outright. A from-scratch forward chaining pass of the same engine
+(:func:`closure_check`) re-verifies the finished graph; a graph that
+still conflicts is a GenerationError, never regenerated.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DegenerateWorldError, GenerationError
@@ -36,7 +35,6 @@ SEED_EXISTING = "seed-existing"
 EXPAND = "expand"
 
 EDGE_CAP_PER_RULE = 50
-MAX_GENERATION_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
@@ -125,39 +123,45 @@ def generate_world_graph(
     rules: RuleSet,
     cfg: GenConfig,
     rng: random.Random,
-    max_attempts: int = MAX_GENERATION_ATTEMPTS,
 ) -> WorldGraph:
-    """Grow a WorldGraph for one world, regenerating on closure conflicts.
+    """Grow a WorldGraph for one world from one sub-seed drawn from ``rng``.
 
-    Each attempt runs the expansion process with a sub-seed drawn from
-    ``rng``; an attempt whose derivations contradict one of its own edge
-    labels is thrown away. Raises GenerationError when every attempt
-    conflicts.
+    Growth refuses every expansion that would contradict an edge label,
+    so :func:`closure_check` must find no edge conflict in the result;
+    one is a GenerationError naming the world.
     """
     world_rules = select_rules(rules, list(world.rule_indices))
     if not world_rules.rules:
         raise DegenerateWorldError(f"world {world.world_id} has no rules")
-    for _ in range(max_attempts):
-        graph = _expand(world_rules, cfg, random.Random(rng.getrandbits(64)))
-        conflicts = [
-            d for d in closure_check(graph, world_rules) if d.kind == "edge-conflict"
-        ]
-        if not conflicts:
-            return graph
-    raise GenerationError(
-        f"world {world.world_id}: closure conflicts persisted "
-        f"across {max_attempts} generation attempts"
-    )
+    graph = _expand(world_rules, cfg, random.Random(rng.getrandbits(64)))
+    conflicts = [
+        d.detail for d in closure_check(graph, world_rules) if d.kind == "edge-conflict"
+    ]
+    if conflicts:
+        raise GenerationError(
+            f"world {world.world_id}: closure check found {len(conflicts)} "
+            f"edge conflicts, first: {conflicts[0]}"
+        )
+    return graph
+
+
+class _Conflict(Exception):
+    """A derivation contradicts a pinned edge label."""
 
 
 class _ClosureState:
-    """Incrementally maintained derivation fixpoint over the growing graph.
+    """Derivation fixpoint of a fact set, by semi-naive forward chaining.
 
-    Keeping the closure current lets the generator reject an expansion
-    whose derived labels would contradict an edge label, instead of
-    discovering the conflict after the fact. Rule sets are not confluent
-    in general, so such rejections are the only way to guarantee a
-    conflict-free graph for every world.
+    ``labels`` maps each ordered pair to the relations derived on it;
+    the two adjacency indexes hold the same facts by source and by
+    destination. A pair in ``edge_labels`` is pinned to its edge label:
+    deriving any other label there is a conflict. The generator pins
+    every edge it adds, so it can reject an expansion whose derivations
+    would contradict an edge label instead of discovering the conflict
+    after the fact; rule sets are not confluent in general, so such
+    rejections are the only way to guarantee a conflict-free graph.
+    With nothing pinned nothing conflicts, and ``labels`` is the plain
+    closure (:func:`derive_closure`).
     """
 
     def __init__(self, rules: RuleSet) -> None:
@@ -168,60 +172,72 @@ class _ClosureState:
         self.edge_labels: dict[tuple[NodeId, NodeId], RelationId] = {}
 
     def try_add_edges(self, new_edges: list[tuple[NodeId, RelationId, NodeId]]) -> bool:
-        """Add edges and propagate; on any conflict roll back and refuse."""
-        added: list[tuple[NodeId, RelationId, NodeId]] = []
-        registered: list[tuple[NodeId, NodeId]] = []
-        queue: deque[tuple[NodeId, RelationId, NodeId]] = deque()
-        lookup = self._lookup
+        """Pin and add edges and propagate; on any conflict roll back and refuse.
 
-        def add_fact(u: NodeId, r: RelationId, v: NodeId) -> bool:
-            cell = self.labels.setdefault((u, v), set())
-            if r in cell:
-                return True
-            edge_label = self.edge_labels.get((u, v))
-            if edge_label is not None and edge_label != r:
+        Each new edge must lie on a pair that carries no edge yet.
+        """
+        for u, r, v in new_edges:
+            if any(label != r for label in self.labels.get((u, v), ())):
                 return False
-            cell.add(r)
-            self._by_src.setdefault(u, []).append((v, r))
-            self._by_dst.setdefault(v, []).append((u, r))
-            added.append((u, r, v))
-            queue.append((u, r, v))
-            return True
-
-        ok = True
         for u, r, v in new_edges:
             self.edge_labels[(u, v)] = r
-            registered.append((u, v))
-            existing = self.labels.get((u, v), ())
-            if any(label != r for label in existing):
-                ok = False
-                break
-            if not add_fact(u, r, v):
-                ok = False
-                break
-        while ok and queue:
-            u, a, x = queue.popleft()
-            for v, b in list(self._by_src.get(x, ())):
-                rule = lookup.get((a, b))
-                if rule is not None and not add_fact(u, rule.head, v):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for w, c in list(self._by_dst.get(u, ())):
-                rule = lookup.get((c, a))
-                if rule is not None and not add_fact(w, rule.head, x):
-                    ok = False
-                    break
-        if ok:
+        if self.add_facts(new_edges):
             return True
-        for u, r, v in reversed(added):
-            self.labels[(u, v)].discard(r)
-            self._by_src[u].remove((v, r))
-            self._by_dst[v].remove((u, r))
-        for key in registered:
-            del self.edge_labels[key]
+        for u, _, v in new_edges:
+            del self.edge_labels[(u, v)]
         return False
+
+    def add_facts(self, facts: list[tuple[NodeId, RelationId, NodeId]]) -> bool:
+        """Add facts and forward-chain to the fixpoint.
+
+        A derivation contradicting a pinned label stops the chase: every
+        fact this call added is taken back, leaving the state exactly as
+        it was, and the result is False.
+        """
+        labels, by_src, by_dst = self.labels, self._by_src, self._by_dst
+        pins, lookup = self.edge_labels, self._lookup
+        added: list[tuple[NodeId, RelationId, NodeId]] = []
+
+        def add(u: NodeId, r: RelationId, v: NodeId) -> None:
+            key = (u, v)
+            cell = labels.get(key)
+            if cell is not None and r in cell:
+                return
+            pin = pins.get(key)
+            if pin is not None and pin != r:
+                raise _Conflict
+            if cell is None:
+                cell = labels[key] = set()
+            cell.add(r)
+            by_src.setdefault(u, []).append((v, r))
+            by_dst.setdefault(v, []).append((u, r))
+            added.append((u, r, v))
+
+        try:
+            for u, r, v in facts:
+                add(u, r, v)
+            # iterating a list visits what is appended meanwhile: a FIFO queue
+            for u, a, x in added:
+                for v, b in list(by_src.get(x, ())):
+                    rule = lookup.get((a, b))
+                    if rule is not None:
+                        add(u, rule.head, v)
+                for w, c in list(by_dst.get(u, ())):
+                    rule = lookup.get((c, a))
+                    if rule is not None:
+                        add(w, rule.head, x)
+        except _Conflict:
+            # newest first: each fact is then the last entry of both its lists
+            for u, r, v in reversed(added):
+                labels[(u, v)].discard(r)
+                if not labels[(u, v)]:
+                    del labels[(u, v)]
+                for index, node in ((by_src, u), (by_dst, v)):
+                    index[node].pop()
+                    if not index[node]:
+                        del index[node]
+            return False
+        return True
 
 
 _EXPANSION_RETRIES = 10
@@ -336,34 +352,9 @@ def derive_closure(
     graph: WorldGraph, rules: RuleSet
 ) -> dict[tuple[NodeId, NodeId], set[RelationId]]:
     """Forward-chain all rules over the graph to a label fixpoint."""
-    lookup = rules._by_body
-    labels: dict[tuple[NodeId, NodeId], set[RelationId]] = {}
-    by_src: dict[NodeId, list[tuple[NodeId, RelationId]]] = {}
-    by_dst: dict[NodeId, list[tuple[NodeId, RelationId]]] = {}
-    queue: deque[tuple[NodeId, RelationId, NodeId]] = deque()
-
-    def add(u: NodeId, r: RelationId, v: NodeId) -> None:
-        cell = labels.setdefault((u, v), set())
-        if r in cell:
-            return
-        cell.add(r)
-        by_src.setdefault(u, []).append((v, r))
-        by_dst.setdefault(v, []).append((u, r))
-        queue.append((u, r, v))
-
-    for (u, v), r in graph.edges.items():
-        add(u, r, v)
-    while queue:
-        u, a, x = queue.popleft()
-        for v, b in list(by_src.get(x, ())):
-            rule = lookup.get((a, b))
-            if rule is not None:
-                add(u, rule.head, v)
-        for w, c in list(by_dst.get(u, ())):
-            rule = lookup.get((c, a))
-            if rule is not None:
-                add(w, rule.head, x)
-    return labels
+    closure = _ClosureState(rules)
+    closure.add_facts(graph.edge_list())  # nothing pinned, so nothing is refused
+    return closure.labels
 
 
 def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
@@ -371,8 +362,7 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
 
     ``edge-conflict``: a pair carrying an edge derives a second label.
     ``derivation-ambiguity``: an edgeless pair derives two or more labels.
-    Only edge conflicts gate regeneration; ambiguity counts are reported
-    through suite statistics.
+    Only edge conflicts fail generation.
     """
     labels = derive_closure(graph, rules)
     diagnostics: list[Diagnostic] = []

@@ -153,6 +153,29 @@ class TestValidate:
         assert report["worlds"]["rule_0"]["split_leaks"] == 1
         assert report["split_leaks"] == 1
 
+    def test_tampered_stats_fail(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "stats"
+        shutil.copytree(suite_dir, broken)
+        stats_file = broken / "rule_0" / "stats.json"
+        doc = json.loads(stats_file.read_text())
+        doc["avg_nodes"] = 99.5
+        stats_file.write_text(json.dumps(doc))
+        rc = main(["validate", str(broken)])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["valid"] == report["instances"]
+        assert report["worlds"]["rule_0"]["stats_mismatch"] == 1
+        assert report["stats_mismatch"] == 1
+
+    def test_world_without_instances_is_format_error(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "empty"
+        shutil.copytree(suite_dir, broken)
+        for split in ("train", "valid", "test"):
+            (broken / "rule_0" / f"{split}.jsonl").write_text("")
+        rc = main(["validate", str(broken)])
+        assert rc == 2
+        assert f"{broken / 'rule_0'}: world has no instances" in capsys.readouterr().err
+
     def test_two_field_edge_is_format_error_with_location(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "short_edge"
         shutil.copytree(suite_dir, broken)
@@ -176,6 +199,17 @@ class TestValidate:
         rc = main(["validate", str(broken)])
         assert rc == 2
         assert f"{manifest_file}:" in capsys.readouterr().err
+
+    def test_manifest_world_without_split_is_format_error(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "no_split"
+        shutil.copytree(suite_dir, broken)
+        manifest_file = broken / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        del manifest["worlds"][0]["split"]
+        manifest_file.write_text(json.dumps(manifest))
+        rc = main(["validate", str(broken)])
+        assert rc == 2
+        assert f"{manifest_file}: worlds[0] has no split" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, tamper",

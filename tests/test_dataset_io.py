@@ -13,7 +13,7 @@ from logicworlds.dataset_io import (
 )
 from logicworlds.errors import ConfigError, SuiteFormatError
 from logicworlds.sampler import Instance, WorldDataset
-from logicworlds.suite import generate_suite, read_suite, write_suite
+from logicworlds.suite import generate_suite, generate_suite_to_disk, read_suite
 
 from conftest import tiny_suite_config
 
@@ -157,7 +157,7 @@ def small_suite(tmp_path_factory):
     config = tiny_suite_config()
     suite = generate_suite(config)
     path = tmp_path_factory.mktemp("suite") / "out"
-    write_suite(path, suite)
+    generate_suite_to_disk(config, path)
     return config, suite, path
 
 
@@ -215,14 +215,6 @@ class TestSuiteRoundTrip:
                     lengths.append(len(json.loads(line)["descriptor"]))
             recomputed = round(sum(lengths) / len(lengths), 6)
             assert abs(stats["avg_resolution_length"] - recomputed) <= 1e-9
-
-    def test_write_is_byte_deterministic(self, small_suite, tmp_path):
-        _, suite, path = small_suite
-        again = tmp_path / "again"
-        write_suite(again, suite)
-        for file in sorted(p for p in path.rglob("*") if p.is_file()):
-            twin = again / file.relative_to(path)
-            assert twin.read_bytes() == file.read_bytes(), file.name
 
     def test_malformed_file_reports_context(self, small_suite, tmp_path):
         _, suite, path = small_suite

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.partition import WorldSpec
@@ -10,7 +12,9 @@ from logicworlds.worldgraph import (
     SEED_FRESH,
     GenConfig,
     WorldGraph,
+    _ClosureState,
     closure_check,
+    derive_closure,
     generate_world_graph,
     replay_trace,
     rule_usage,
@@ -19,6 +23,56 @@ from logicworlds.worldgraph import (
 )
 
 from conftest import make_rules
+
+
+def reference_closure(edges, rules):
+    """Naive fixpoint: compose every pair of facts until nothing new appears."""
+    head_of = {rule.body: rule.head for rule in rules.rules}
+    facts = set(edges)
+    while True:
+        derived = {
+            (u, head_of[(a, b)], w)
+            for u, a, x in facts
+            for y, b, w in facts
+            if x == y and (a, b) in head_of
+        }
+        if derived <= facts:
+            break
+        facts |= derived
+    labels = {}
+    for u, r, v in facts:
+        labels.setdefault((u, v), set()).add(r)
+    return labels
+
+
+def has_edge_conflict(edges, rules):
+    labels = reference_closure(edges, rules)
+    return any(labels[(u, v)] != {r} for u, r, v in edges)
+
+
+RELATIONS = 4
+
+
+@st.composite
+def rule_sets(draw):
+    """Rule sets with distinct bodies over RELATIONS relations."""
+    relation = st.integers(0, RELATIONS - 1)
+    bodies = draw(st.lists(st.tuples(relation, relation), max_size=8, unique=True))
+    heads = draw(st.lists(relation, min_size=len(bodies), max_size=len(bodies)))
+    return make_rules(list(zip(bodies, heads)), size=RELATIONS)
+
+
+def labelled_edges(nodes=6, max_size=12):
+    """Edges (u, r, v) with at most one edge per ordered pair; cycles allowed."""
+    return st.lists(
+        st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)),
+        max_size=max_size,
+        unique=True,
+    ).flatmap(
+        lambda pairs: st.lists(
+            st.integers(0, RELATIONS - 1), min_size=len(pairs), max_size=len(pairs)
+        ).map(lambda labels: [(u, r, v) for (u, v), r in zip(pairs, labels)])
+    )
 
 
 def world_over(rules):
@@ -124,6 +178,44 @@ class TestClosureCheck:
         )
         diags = closure_check(graph, rules)
         assert [d.kind for d in diags] == ["derivation-ambiguity"]
+
+
+class TestClosureEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(rules=rule_sets(), edges=labelled_edges())
+    def test_derive_closure_equals_naive_fixpoint(self, rules, edges):
+        graph = WorldGraph(node_count=6, edges={(u, v): r for u, r, v in edges})
+        assert derive_closure(graph, rules) == reference_closure(edges, rules)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rules=rule_sets(), edges=labelled_edges(), cuts=st.lists(st.integers(0, 12)))
+    # an edge on a pair that already derives another label, which is rare in random draws
+    @example(
+        rules=make_rules([((0, 1), 2)], size=RELATIONS),
+        edges=[(0, 0, 1), (1, 1, 2), (0, 3, 2)],
+        cuts=[2],
+    )
+    def test_batch_refused_exactly_on_conflict_and_rolled_back(self, rules, edges, cuts):
+        bounds = sorted({0, len(edges), *(c for c in cuts if c < len(edges))})
+        batches = [edges[a:b] for a, b in zip(bounds, bounds[1:])]
+        closure = _ClosureState(rules)
+        accepted = []
+        for batch in batches:
+            before = (
+                {pair: set(cell) for pair, cell in closure.labels.items()},
+                {node: list(facts) for node, facts in closure._by_src.items()},
+                {node: list(facts) for node, facts in closure._by_dst.items()},
+                dict(closure.edge_labels),
+            )
+            refused = has_edge_conflict(accepted + batch, rules)
+            assert closure.try_add_edges(batch) is not refused
+            if refused:
+                after = (closure.labels, closure._by_src, closure._by_dst, closure.edge_labels)
+                assert after == before
+            else:
+                accepted += batch
+                assert closure.labels == reference_closure(accepted, rules)
+                assert closure.edge_labels == {(u, v): r for u, r, v in accepted}
 
 
 class TestGenConfig:
