@@ -12,7 +12,6 @@ from collections import Counter
 
 from logicworlds import (
     GenConfig,
-    WorldSpec,
     closure_check,
     generate_alphabet,
     generate_rules,
@@ -24,12 +23,11 @@ from logicworlds import (
 rng = random.Random(3)
 alphabet = generate_alphabet(10, rng)
 rules = generate_rules(alphabet, rng)
-world = WorldSpec(world_id=0, rule_indices=tuple(range(len(rules.rules))))
 
 # the full rule set acts as one world here (more rules than a usual
 # sliding-window world), so one coverage cycle over a generous pool
 cfg = GenConfig(node_pool=400, cycles=1, max_expansions=5)
-graph = generate_world_graph(world, rules, cfg, rng)
+graph = generate_world_graph(rules, cfg, rng)
 print(f"world graph: {graph.node_count} nodes, {len(graph.edges)} edges")
 
 # The trace records every seed and every expansion. Replaying it must

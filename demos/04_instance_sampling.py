@@ -11,7 +11,6 @@ import random
 
 from logicworlds import (
     GenConfig,
-    WorldSpec,
     build_dataset,
     collect_descriptors,
     generate_alphabet,
@@ -25,9 +24,8 @@ from logicworlds import (
 rng = random.Random(11)
 alphabet = generate_alphabet(10, rng)
 rules = generate_rules(alphabet, rng)
-world = WorldSpec(world_id=0, rule_indices=tuple(range(len(rules.rules))))
 cfg = GenConfig(node_pool=150, graphs_per_split=(30, 8, 8))
-graph = generate_world_graph(world, rules, cfg, rng)
+graph = generate_world_graph(rules, cfg, rng)
 
 # Every edge (u, r, v) paired with an alternate walk u -> ... -> v of
 # length 2..e gives a (edge, descriptor) candidate. The descriptor is

@@ -3,9 +3,11 @@
 The pipeline: sample a relation alphabet with inverse structure, grow a
 consistent binary Horn rule set, partition it into overlapping worlds,
 expand each world's rules into a WorldGraph, sample certified query
-instances from it, and serialize datasets plus split manifests. A
-CYK-style symbolic resolver certifies every emitted instance and doubles
-as the perfect-accuracy baseline solver.
+instances from it, and serialize datasets plus split manifests. One
+rule engine, a semi-naive closure fixpoint, grows conflict-free world
+graphs and resolves descriptors; the symbolic resolver built on it
+certifies every emitted instance and doubles as the perfect-accuracy
+baseline solver.
 """
 
 from .config import SuiteConfig, load_config
@@ -30,7 +32,6 @@ from .partition import (
 from .resolver import (
     ValidationReport,
     brute_force_resolve,
-    resolution_chart,
     resolve_descriptor,
     symbolic_baseline_solve,
     validate_instance,

@@ -114,8 +114,6 @@ def cmd_generate(args) -> int:
     world_ids = [args.world_id] if args.world_id is not None else None
     info = generate_suite_to_disk(config, out, workers=args.workers, world_ids=world_ids)
 
-    pairs = sum(w["descriptor_pairs"] for w in info.values())
-    ambiguous = sum(w["ambiguous"] for w in info.values())
     distinct = [w["distinct_descriptors"] for w in info.values()]
     print(f"rules: {info.rules}")
     print(f"worlds: {len(info)} of {info.worlds}")
@@ -125,8 +123,6 @@ def cmd_generate(args) -> int:
             f"descriptors: {sum(distinct)} pooled, "
             f"{sum(distinct) / len(distinct):.1f} mean per world"
         )
-    rate = ambiguous / pairs if pairs else 0.0
-    print(f"descriptor ambiguity rate: {rate:.6f} ({ambiguous}/{pairs})")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -224,7 +220,7 @@ def cmd_stats(args) -> int:
     rows = []
     agg = {"NC": [], "ND": [], "ARL": [], "AN": [], "AE": []}
     for wid in _world_ids(manifest, args.world_id):
-        stats_file = args.suite / f"rule_{wid}" / "stats.json"
+        stats_file = args.suite / world_dir_name(wid) / "stats.json"
         cells, values = _parse(stats_file, _stats_row, _load_json(stats_file))
         row = [f"rule_{wid}", *cells]
         for column, value in zip(agg.values(), values):

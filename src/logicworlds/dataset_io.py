@@ -173,7 +173,7 @@ def instance_to_dict(inst: Instance, world_id: int) -> dict:
     }
 
 
-def instance_from_dict(data: dict, split: str) -> Instance:
+def instance_from_dict(data: dict) -> Instance:
     return Instance(
         edges=tuple((u, r, v) for u, r, v in data["edges"]),
         source=data["query"][0],
@@ -181,7 +181,6 @@ def instance_from_dict(data: dict, split: str) -> Instance:
         target=data["target"],
         resolution_path=tuple(data["resolution_path"]),
         descriptor=tuple(data["descriptor"]),
-        split=split,
     )
 
 
@@ -234,7 +233,8 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
     """Inverse of :func:`write_world`; returns (graph, dataset, stats doc).
 
     The dataset carries the world's rules; the stats doc is the parsed
-    ``stats.json`` as stored.
+    ``stats.json`` as stored. An instance line whose ``world_id`` is not
+    ``world_id`` is a SuiteFormatError naming its file and line.
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
@@ -258,9 +258,15 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
             if not line.strip():
                 continue
             try:
-                items.append(instance_from_dict(json.loads(line), split))
+                doc = json.loads(line)
+                items.append(instance_from_dict(doc))
+                line_world = doc["world_id"]
             except (KeyError, IndexError, ValueError, TypeError) as exc:
                 raise SuiteFormatError(f"{file}:{lineno}: bad instance record ({exc})")
+            if line_world != world_id:
+                raise SuiteFormatError(
+                    f"{file}:{lineno}: instance of world {line_world!r} in world {world_id}"
+                )
         instances[split] = items
     ds = WorldDataset(
         world_id=world_id,

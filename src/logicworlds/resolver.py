@@ -2,10 +2,12 @@
 
 A descriptor resolves to the set of relations derivable by composing
 its labels under some binary bracketing. :func:`resolve_descriptor`
-computes that set with a CYK-style chart, memoized per world rule set
-(each distinct label tuple is charted once per :class:`RuleSet`);
-:func:`brute_force_resolve` recomputes it by enumerating every
-bracketing explicitly and exists only to cross-check the chart.
+computes that set with the program's one rule engine, the closure
+fixpoint of :mod:`.worldgraph`, run over the descriptor as a path graph
+and memoized per world rule set (each distinct label tuple is resolved
+once per :class:`RuleSet`); :func:`brute_force_resolve` recomputes it by
+enumerating every bracketing explicitly and exists only to cross-check
+the engine.
 
 Instance graphs are validated against the four soundness conditions a
 query must satisfy (target resolvable and unambiguous, descriptor/path
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 from .rules import RelationId, RuleSet, compose
+from .worldgraph import derive_closure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampler import Instance, WorldDataset
@@ -62,41 +65,22 @@ class ValidationReport:
         )
 
 
-def resolution_chart(
-    rules: RuleSet, labels: Sequence[RelationId]
-) -> dict[tuple[int, int], frozenset[RelationId]]:
-    """Bottom-up span chart: (i, j) -> relations derivable over labels[i:j]."""
-    n = len(labels)
-    if n < 1:
-        raise ConfigError("descriptor must contain at least one label")
-    lookup = rules._by_body
-    spans: dict[tuple[int, int], set[RelationId]] = {
-        (i, i + 1): {labels[i]} for i in range(n)
-    }
-    for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            cell: set[RelationId] = set()
-            for k in range(i + 1, j):
-                left = spans[(i, k)]
-                right = spans[(k, j)]
-                for a in left:
-                    for b in right:
-                        rule = lookup.get((a, b))
-                        if rule is not None:
-                            cell.add(rule.head)
-            spans[(i, j)] = cell
-    return {span: frozenset(cell) for span, cell in spans.items()}
-
-
 def resolve_descriptor(
     rules: RuleSet, labels: Sequence[RelationId]
 ) -> frozenset[RelationId]:
-    """Relations derivable for the full descriptor span, memoized per rule set."""
+    """Relations derivable for the full descriptor span, memoized per rule set.
+
+    The descriptor is read as a path graph 0 -> 1 -> ... -> n; the
+    closure engine's labels on the pair (0, n) are its resolutions.
+    """
     key = tuple(labels)
     resolved = rules._resolved.get(key)
     if resolved is None:
-        resolved = rules._resolved[key] = resolution_chart(rules, key)[(0, len(key))]
+        if not key:
+            raise ConfigError("descriptor must contain at least one label")
+        path = [(i, r, i + 1) for i, r in enumerate(key)]
+        derived = derive_closure(path, rules).get((0, len(key)), ())
+        resolved = rules._resolved[key] = frozenset(derived)
     return resolved
 
 

@@ -69,7 +69,6 @@ class Instance:
     target: RelationId
     resolution_path: tuple[NodeId, ...]
     descriptor: tuple[RelationId, ...]
-    split: str
 
     @property
     def node_count(self) -> int:
@@ -220,7 +219,6 @@ def sample_instance(
     pair: DescriptorPair,
     cfg: GenConfig,
     rng: random.Random,
-    split: str = "train",
     adjacency: dict[NodeId, list[IncidentEdge]] | None = None,
 ) -> Instance:
     """Embed the resolution path in a BFS-sampled noisy neighborhood.
@@ -281,7 +279,6 @@ def sample_instance(
         target=target,
         resolution_path=tuple(renumber[n] for n in path),
         descriptor=pair.descriptor,
-        split=split,
     )
 
 
@@ -418,7 +415,7 @@ def build_dataset(
             descriptor = descriptors[inst_rng.randrange(len(descriptors))]
             candidates = pool[descriptor]
             pair = candidates[inst_rng.randrange(len(candidates))]
-            inst = sample_instance(g, pair, cfg, inst_rng, split=split, adjacency=adjacency)
+            inst = sample_instance(g, pair, cfg, inst_rng, adjacency=adjacency)
             if not validate_instance(rules, inst).is_valid:
                 raise GenerationError(
                     f"world {world_id}: {split} instance {index} failed certification"

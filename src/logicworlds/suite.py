@@ -23,12 +23,13 @@ from .dataset_io import (
     read_world,
     ruleset_from_dict,
     ruleset_to_dict,
+    world_dir_name,
     write_manifest,
     write_world,
 )
 from .errors import ConfigError
-from .partition import RulePartition, WorldSpec, partition_rules, similarity_matrix
-from .rules import RuleSet, generate_alphabet, generate_rules
+from .partition import WorldSpec, partition_rules, similarity_matrix
+from .rules import RuleSet, generate_alphabet, generate_rules, select_rules
 from .sampler import WorldDataset, build_dataset
 from .worldgraph import WorldGraph, generate_world_graph
 
@@ -43,14 +44,6 @@ class Suite:
     world_splits: dict[int, str]
     graphs: dict[int, WorldGraph] = field(default_factory=dict)
     datasets: dict[int, WorldDataset] = field(default_factory=dict)
-
-    def partition(self) -> RulePartition:
-        return RulePartition(
-            rules=self.rules,
-            worlds=self.worlds,
-            w=self.config.rules_per_world,
-            s=self.config.stride,
-        )
 
 
 def plan_suite(config: SuiteConfig) -> Suite:
@@ -99,15 +92,20 @@ def assign_world_splits(
 def build_world(
     suite: Suite, world: WorldSpec
 ) -> tuple[WorldGraph, WorldDataset]:
-    """Generate one world's graph and dataset from its derived sub-seeds."""
+    """Generate one world's graph and dataset from its derived sub-seeds.
+
+    The world's rules are selected once; growth, the closure check,
+    sampling and certification all use that one RuleSet (and its
+    resolution memo).
+    """
     config = suite.config
+    world_rules = select_rules(suite.rules, list(world.rule_indices))
     graph = generate_world_graph(
-        world,
-        suite.rules,
+        world_rules,
         config.gen,
         seeds.rng_for(config.seed, seeds.TAG_WORLDGRAPH, world.world_id),
+        world_id=world.world_id,
     )
-    world_rules = suite.partition().world_rules(world)
     dataset = build_dataset(
         graph,
         world_rules,
@@ -172,7 +170,7 @@ def read_suite(path: str | Path) -> Suite:
     )
     for world in worlds:
         wid = world.world_id
-        world_dir = root / f"rule_{wid}"
+        world_dir = root / world_dir_name(wid)
         if not world_dir.exists():
             continue
         graph, dataset, _ = read_world(root, wid)

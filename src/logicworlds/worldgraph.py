@@ -16,16 +16,20 @@ the derivation fixpoint incrementally and rejects such expansions
 outright. A from-scratch forward chaining pass of the same engine
 (:func:`closure_check`) re-verifies the finished graph; a graph that
 still conflicts is a GenerationError, never regenerated.
+
+That fixpoint (:class:`_ClosureState`) is the program's only rule
+engine: :func:`derive_closure` also resolves descriptors, read as path
+graphs, for the resolver.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DegenerateWorldError, GenerationError
-from .partition import WorldSpec
-from .rules import Diagnostic, RelationId, RuleSet, select_rules
+from .rules import Diagnostic, RelationId, RuleSet
 
 NodeId = int
 
@@ -119,27 +123,26 @@ def rule_usage(trace: list[tuple], world_rules: RuleSet) -> dict[int, int]:
 
 
 def generate_world_graph(
-    world: WorldSpec,
-    rules: RuleSet,
+    world_rules: RuleSet,
     cfg: GenConfig,
     rng: random.Random,
+    world_id: int = 0,
 ) -> WorldGraph:
-    """Grow a WorldGraph for one world from one sub-seed drawn from ``rng``.
+    """Grow a WorldGraph over one world's rules from one sub-seed drawn from ``rng``.
 
     Growth refuses every expansion that would contradict an edge label,
     so :func:`closure_check` must find no edge conflict in the result;
     one is a GenerationError naming the world.
     """
-    world_rules = select_rules(rules, list(world.rule_indices))
     if not world_rules.rules:
-        raise DegenerateWorldError(f"world {world.world_id} has no rules")
+        raise DegenerateWorldError(f"world {world_id} has no rules")
     graph = _expand(world_rules, cfg, random.Random(rng.getrandbits(64)))
     conflicts = [
         d.detail for d in closure_check(graph, world_rules) if d.kind == "edge-conflict"
     ]
     if conflicts:
         raise GenerationError(
-            f"world {world.world_id}: closure check found {len(conflicts)} "
+            f"world {world_id}: closure check found {len(conflicts)} "
             f"edge conflicts, first: {conflicts[0]}"
         )
     return graph
@@ -187,7 +190,7 @@ class _ClosureState:
             del self.edge_labels[(u, v)]
         return False
 
-    def add_facts(self, facts: list[tuple[NodeId, RelationId, NodeId]]) -> bool:
+    def add_facts(self, facts: Iterable[tuple[NodeId, RelationId, NodeId]]) -> bool:
         """Add facts and forward-chain to the fixpoint.
 
         A derivation contradicting a pinned label stops the chase: every
@@ -349,11 +352,11 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
 
 
 def derive_closure(
-    graph: WorldGraph, rules: RuleSet
+    facts: Iterable[tuple[NodeId, RelationId, NodeId]], rules: RuleSet
 ) -> dict[tuple[NodeId, NodeId], set[RelationId]]:
-    """Forward-chain all rules over the graph to a label fixpoint."""
+    """Forward-chain all rules over the ``(u, r, v)`` facts to a label fixpoint."""
     closure = _ClosureState(rules)
-    closure.add_facts(graph.edge_list())  # nothing pinned, so nothing is refused
+    closure.add_facts(facts)  # nothing pinned, so nothing is refused
     return closure.labels
 
 
@@ -364,7 +367,7 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
     ``derivation-ambiguity``: an edgeless pair derives two or more labels.
     Only edge conflicts fail generation.
     """
-    labels = derive_closure(graph, rules)
+    labels = derive_closure(graph.edge_list(), rules)
     diagnostics: list[Diagnostic] = []
     for (u, v), derived in sorted(labels.items()):
         edge_label = graph.edges.get((u, v))

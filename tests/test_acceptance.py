@@ -125,7 +125,7 @@ def test_criterion_3_parser_oracle_equivalence():
     report(
         3,
         rule_sets >= 100 and elapsed < 60,
-        f"chart == bracketing oracle on {checked} descriptors (all lengths 2..6) "
+        f"resolver == bracketing oracle on {checked} descriptors (all lengths 2..6) "
         f"over {rule_sets} rule sets; {elapsed:.0f}s",
     )
 

@@ -1,10 +1,12 @@
 import json
+import re
 import shutil
 
 import pytest
 
 from logicworlds.cli import main
-from logicworlds.suite import plan_suite
+from logicworlds.errors import SuiteFormatError
+from logicworlds.suite import plan_suite, read_suite
 
 from conftest import tiny_suite_config
 
@@ -57,7 +59,8 @@ class TestGenerate:
             f"worlds: {worlds} of {worlds}",
             f"instances: {instances}",
         ]
-        assert "ambiguity rate" in out[4]
+        assert out[3].startswith("descriptors: ")
+        assert out[4:] == [f"wrote {out_dir}"]
 
     def test_workers_below_one_is_config_error_and_writes_nothing(self, config_file, tmp_path):
         out = tmp_path / "w0"
@@ -210,6 +213,24 @@ class TestValidate:
         rc = main(["validate", str(broken)])
         assert rc == 2
         assert f"{manifest_file}: worlds[0] has no split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_instance_of_another_world_is_format_error(
+        self, suite_dir, tmp_path, capsys, command
+    ):
+        broken = tmp_path / "moved_instance"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_1" / "test.jsonl"
+        lines = split_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["world_id"] = 0
+        lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        split_file.write_text("\n".join(lines) + "\n")
+        message = f"{split_file}:2: instance of world 0 in world 1"
+        assert main([command, str(broken)]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
+            read_suite(broken)
 
     @pytest.mark.parametrize(
         "name, tamper",

@@ -26,7 +26,6 @@ def one_instance(descriptor=(0, 2), target=3):
         target=target,
         resolution_path=(0, 1, 2),
         descriptor=descriptor,
-        split="train",
     )
 
 
@@ -149,7 +148,7 @@ class TestInstanceSerialization:
             "world_id",
         }
         assert doc["query"] == [0, 2]
-        assert instance_from_dict(doc, "train") == inst
+        assert instance_from_dict(doc) == inst
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from logicworlds import seeds
 from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.resolver import resolve_descriptor, validate_instance
+from logicworlds.rules import select_rules
 from logicworlds.sampler import collect_descriptors
 from logicworlds.suite import build_world, plan_suite
 from logicworlds.worldgraph import closure_check, generate_world_graph
@@ -53,11 +54,12 @@ def grown(planned):
     suite, world = planned
     config = suite.config
     rng = seeds.rng_for(config.seed, seeds.TAG_WORLDGRAPH, world.world_id)
+    world_rules = select_rules(suite.rules, list(world.rule_indices))
     try:
-        graph = generate_world_graph(world, suite.rules, config.gen, rng)
+        graph = generate_world_graph(world_rules, config.gen, rng, world.world_id)
     except DegenerateWorldError:
         return None
-    return suite.partition().world_rules(world), graph
+    return world_rules, graph
 
 
 def is_acyclic(edges) -> bool:

@@ -12,7 +12,6 @@ from logicworlds.resolver import (
     brute_force_resolve,
     instance_adjacency,
     iter_simple_path_labels,
-    resolution_chart,
     resolve_descriptor,
     shortest_distance,
     symbolic_baseline_solve,
@@ -20,6 +19,7 @@ from logicworlds.resolver import (
 )
 from logicworlds.rules import compose, generate_alphabet, generate_rules
 from logicworlds.sampler import Instance, WorldDataset
+from logicworlds.worldgraph import derive_closure
 
 from conftest import make_rules
 
@@ -63,7 +63,7 @@ class TestResolutionMemo:
             assert resolve_descriptor(low, (0, 1)) == {2}
             assert resolve_descriptor(high, (0, 1)) == {3}
 
-    def test_memoized_results_match_chart_and_brute_force(self):
+    def test_memoized_results_match_brute_force(self):
         for seed in range(6):
             local = random.Random(seed)
             alpha = generate_alphabet(6, local)
@@ -73,10 +73,9 @@ class TestResolutionMemo:
                 for _ in range(60)
             ]
             for d in descriptors + descriptors:  # second pass is served by the memo
-                expected = resolution_chart(rules, d)[(0, len(d))]
+                expected = brute_force_resolve(rules, d)
                 assert resolve_descriptor(rules, d) == expected
                 assert resolve_descriptor(rules, list(d)) == expected
-                assert expected == brute_force_resolve(rules, d)
             assert set(rules._resolved) == set(descriptors)
 
     def test_failed_resolution_is_not_memoized(self):
@@ -86,29 +85,35 @@ class TestResolutionMemo:
         assert () not in rules._resolved
 
 
-class TestResolutionChart:
+def path_closure(rules, labels):
+    """The closure engine's labels on the path graph 0 -> 1 -> ... -> n of ``labels``."""
+    return derive_closure([(i, r, i + 1) for i, r in enumerate(labels)], rules)
+
+
+class TestPathClosure:
     def test_unit_spans_are_own_labels(self):
         rules = make_rules([((0, 2), 3)], size=4)
-        chart = resolution_chart(rules, (0, 2, 0))
+        closure = path_closure(rules, (0, 2, 0))
         for i, label in enumerate((0, 2, 0)):
-            assert chart[(i, i + 1)] == {label}
+            assert closure[(i, i + 1)] == {label}
 
     def test_span_union_identity(self, rng):
-        alpha = generate_alphabet(6, rng)
-        rules = generate_rules(alpha, rng)
-        d = tuple(rng.randrange(6) for _ in range(5))
-        chart = resolution_chart(rules, d)
-        for (i, j), cell in chart.items():
-            if j - i < 2:
-                continue
-            recombined = set()
-            for k in range(i + 1, j):
-                for a in chart[(i, k)]:
-                    for b in chart[(k, j)]:
-                        head = compose(rules, a, b)
-                        if head is not None:
-                            recombined.add(head)
-            assert cell == recombined
+        for _ in range(10):
+            alpha = generate_alphabet(6, rng)
+            rules = generate_rules(alpha, rng)
+            d = tuple(rng.randrange(6) for _ in range(rng.randint(2, 7)))
+            closure = path_closure(rules, d)
+            assert all(i < j for i, j in closure)
+            for i in range(len(d) - 1):
+                for j in range(i + 2, len(d) + 1):
+                    recombined = set()
+                    for k in range(i + 1, j):
+                        for a in closure.get((i, k), ()):
+                            for b in closure.get((k, j), ()):
+                                head = compose(rules, a, b)
+                                if head is not None:
+                                    recombined.add(head)
+                    assert closure.get((i, j), set()) == recombined
 
 
 class TestBruteForce:
@@ -145,7 +150,7 @@ class TestBruteForce:
                     assert resolve_descriptor(rules, d) == brute_force_resolve(rules, d)
 
 
-def chain_instance(target=3, split="train"):
+def chain_instance(target=3):
     """Two-edge resolution path 0 -> 1 -> 2 resolving via [0,2] => 3."""
     return Instance(
         edges=((0, 0, 1), (1, 2, 2)),
@@ -154,7 +159,6 @@ def chain_instance(target=3, split="train"):
         target=target,
         resolution_path=(0, 1, 2),
         descriptor=(0, 2),
-        split=split,
     )
 
 
@@ -182,7 +186,6 @@ class TestValidateInstance:
             target=4,
             resolution_path=(0, 1, 2, 3),
             descriptor=(0, 2, 1),
-            split="train",
         )
         report = validate_instance(rules, inst)
         assert not report.shortcut_free  # 0 -> 2 -> 3 is two hops
@@ -202,7 +205,6 @@ class TestValidateInstance:
             target=3,
             resolution_path=(0, 1, 2),
             descriptor=(0, 2),
-            split="train",
         )
         report = validate_instance(rules, inst)
         assert not report.path_consistent
@@ -231,7 +233,6 @@ class TestValidateInstance:
             target=5,
             resolution_path=(0, 1, 2, 3),
             descriptor=(0, 1, 3),
-            split="train",
         )
         report = validate_instance(rules, inst)
         assert report.ambiguous

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
-from logicworlds.partition import WorldSpec
 from logicworlds.resolver import (
     instance_adjacency,
     resolve_descriptor,
@@ -34,9 +33,8 @@ def generated_world(seed=1, k=10, cfg=None):
     rng = random.Random(seed)
     alpha = generate_alphabet(k, rng)
     rules = generate_rules(alpha, rng)
-    world = WorldSpec(0, tuple(range(len(rules.rules))))
     cfg = cfg or GenConfig(node_pool=200, graphs_per_split=(30, 8, 8))
-    graph = generate_world_graph(world, rules, cfg, rng)
+    graph = generate_world_graph(rules, cfg, rng)
     return rules, cfg, graph
 
 
@@ -271,7 +269,6 @@ class TestBuildDataset:
         for split, count in zip(SPLIT_NAMES, cfg.graphs_per_split):
             assert len(ds.instances[split]) == count
             for inst in ds.instances[split]:
-                assert inst.split == split
                 assert validate_instance(rules, inst).is_valid
         descriptor_sets = {
             split: {i.descriptor for i in ds.instances[split]} for split in SPLIT_NAMES

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
-from logicworlds.partition import WorldSpec
 from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.worldgraph import (
     EXPAND,
@@ -75,16 +74,12 @@ def labelled_edges(nodes=6, max_size=12):
     )
 
 
-def world_over(rules):
-    return WorldSpec(world_id=0, rule_indices=tuple(range(len(rules.rules))))
-
-
 def generated_sample(seed, k=12, cfg=None):
     rng = random.Random(seed)
     alpha = generate_alphabet(k, rng)
     rules = generate_rules(alpha, rng)
     cfg = cfg or GenConfig(node_pool=200)
-    graph = generate_world_graph(world_over(rules), rules, cfg, rng)
+    graph = generate_world_graph(rules, cfg, rng)
     return rules, cfg, graph
 
 
@@ -115,7 +110,7 @@ class TestSingleRuleExpansion:
     def test_seed_edge_expands_into_labeled_chain(self):
         rules = make_rules([((0, 2), 3)], size=4)
         cfg = GenConfig(node_pool=10, cycles=1, max_expansions=2)
-        graph = generate_world_graph(world_over(rules), rules, cfg, random.Random(0))
+        graph = generate_world_graph(rules, cfg, random.Random(0))
         seeds = [e for e in graph.trace if e[0] == SEED_FRESH]
         expands = [e for e in graph.trace if e[0] == EXPAND]
         assert seeds and expands
@@ -152,9 +147,7 @@ class TestGeneration:
     def test_empty_world_rejected(self):
         rules = make_rules([], size=3)
         with pytest.raises(DegenerateWorldError):
-            generate_world_graph(
-                WorldSpec(0, ()), rules, GenConfig(node_pool=10), random.Random(0)
-            )
+            generate_world_graph(rules, GenConfig(node_pool=10), random.Random(0))
 
 
 class TestClosureCheck:
@@ -184,8 +177,7 @@ class TestClosureEngine:
     @settings(max_examples=300, deadline=None)
     @given(rules=rule_sets(), edges=labelled_edges())
     def test_derive_closure_equals_naive_fixpoint(self, rules, edges):
-        graph = WorldGraph(node_count=6, edges={(u, v): r for u, r, v in edges})
-        assert derive_closure(graph, rules) == reference_closure(edges, rules)
+        assert derive_closure(edges, rules) == reference_closure(edges, rules)
 
     @settings(max_examples=300, deadline=None)
     @given(rules=rule_sets(), edges=labelled_edges(), cuts=st.lists(st.integers(0, 12)))
