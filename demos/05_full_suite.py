@@ -19,7 +19,7 @@ from logicworlds import (
     symbolic_baseline_solve,
     validate_instance,
 )
-from logicworlds.suite import generate_suite_to_disk
+from logicworlds.suite import generate_suite_to_disk, plan_suite
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp()) / "suite"
 
@@ -32,7 +32,7 @@ config = SuiteConfig(
     test_worlds=1,
     gen=GenConfig(node_pool=150, graphs_per_split=(40, 10, 10)),
 )
-generate_suite_to_disk(config, out, workers=2)
+generate_suite_to_disk(plan_suite(config), out, workers=2)
 print(f"suite written to {out}")
 
 manifest = json.loads((out / "manifest.json").read_text())

@@ -65,6 +65,7 @@ from .suite import (
     generate_suite,
     generate_suite_to_disk,
     plan_suite,
+    read_plan,
     read_suite,
 )
 from .worldgraph import (

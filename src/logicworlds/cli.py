@@ -28,7 +28,6 @@ from .dataset_io import (
     _parse,
     compute_stats,
     difficulty_bucket,
-    read_manifest,
     read_world,
     stats_payload,
     world_dir_name,
@@ -36,7 +35,14 @@ from .dataset_io import (
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
 from .sampler import SPLIT_NAMES
-from .suite import generate_suite_to_disk, map_worlds
+from .suite import (
+    Suite,
+    generate_suite_to_disk,
+    map_worlds,
+    plan_suite,
+    read_plan,
+    select_worlds,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -111,13 +117,14 @@ def cmd_generate(args) -> int:
     out = args.out or (Path(config.output_dir) if config.output_dir else None)
     if out is None:
         raise ConfigError("no output directory (--out or config output_dir)")
-    world_ids = [args.world_id] if args.world_id is not None else None
-    info = generate_suite_to_disk(config, out, workers=args.workers, world_ids=world_ids)
+    suite = plan_suite(config)
+    info = generate_suite_to_disk(suite, out, workers=args.workers, world_ids=_only(args))
 
     distinct = [w["distinct_descriptors"] for w in info.values()]
-    print(f"rules: {info.rules}")
-    print(f"worlds: {len(info)} of {info.worlds}")
-    print(f"instances: {sum(info.instances.values())}")
+    print(f"rules: {len(suite.rules)}")
+    print(f"worlds: {len(info)} of {len(suite.worlds)}")
+    # build_dataset emits exactly graphs_per_split instances per world or raises
+    print(f"instances: {len(info) * sum(config.gen.graphs_per_split)}")
     if distinct:
         print(
             f"descriptors: {sum(distinct)} pooled, "
@@ -127,13 +134,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _world_ids(manifest: dict, only: int | None) -> list[int]:
-    ids = [w["world_id"] for w in manifest["worlds"]]
-    if only is not None:
-        if only not in ids:
-            raise SuiteFormatError(f"world {only} not present in the manifest")
-        return [only]
-    return ids
+def _only(args) -> list[int] | None:
+    return None if args.world_id is None else [args.world_id]
+
+
+def _planned_worlds(args) -> tuple[Suite, list[int]]:
+    """The suite's plan and the ids of the worlds the command covers."""
+    suite = read_plan(args.suite)
+    return suite, [w.world_id for w in select_worlds(suite, _only(args))]
 
 
 VALIDATE_COUNTS = (
@@ -175,10 +183,8 @@ def solve_world(path: Path, wid: int) -> float | None:
 
 
 def cmd_validate(args) -> int:
-    manifest = read_manifest(args.suite)
-    splits = {w["world_id"]: w["split"] for w in manifest["worlds"]}
-    wids = _world_ids(manifest, args.world_id)
-    tasks = [(args.suite, wid, splits[wid]) for wid in wids]
+    suite, wids = _planned_worlds(args)
+    tasks = [(args.suite, wid, suite.world_splits[wid]) for wid in wids]
     results = map_worlds(validate_world, tasks, args.workers)
     totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
@@ -197,7 +203,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    wids = _world_ids(read_manifest(args.suite), args.world_id)
+    _, wids = _planned_worlds(args)
     results = map_worlds(solve_world, [(args.suite, wid) for wid in wids], args.workers)
     accuracies = []
     for wid, accuracy in zip(wids, results):
@@ -212,33 +218,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    manifest = read_manifest(args.suite)
+    _, wids = _planned_worlds(args)
     scores = _load_accuracy(args.accuracy) if args.accuracy else None
     header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
     if scores is not None:
         header.append("D")
-    rows = []
-    agg = {"NC": [], "ND": [], "ARL": [], "AN": [], "AE": []}
-    for wid in _world_ids(manifest, args.world_id):
+    rows, columns = [], [[] for _ in STATS_KEYS]
+    for wid in wids:
         stats_file = args.suite / world_dir_name(wid) / "stats.json"
         cells, values = _parse(stats_file, _stats_row, _load_json(stats_file))
         row = [f"rule_{wid}", *cells]
-        for column, value in zip(agg.values(), values):
+        for column, value in zip(columns, values):
             column.append(value)
         if scores is not None:
             acc = scores.get(wid)
             row.append(difficulty_bucket(acc).label if acc is not None else "-")
         rows.append(row)
-    if agg["NC"]:
-        agg_row = [
-            "AGG",
-            "",
-            f"{sum(agg['NC']) / len(agg['NC']):.2f}",
-            f"{sum(agg['ND']) / len(agg['ND']):.2f}",
-            f"{sum(agg['ARL']) / len(agg['ARL']):.2f}",
-            f"{sum(agg['AN']) / len(agg['AN']):.2f}",
-            f"{sum(agg['AE']) / len(agg['AE']):.2f}",
-        ]
+    if rows:
+        agg_row = ["AGG", "", *(f"{sum(c) / len(c):.2f}" for c in columns)]
         if scores is not None:
             agg_row.append("")
         rows.append(agg_row)

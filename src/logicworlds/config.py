@@ -7,33 +7,11 @@ stride 1, 5000/1000/1000 graphs per world, resolution lengths 2..10.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .worldgraph import GenConfig
-
-_GEN_KEYS = (
-    "gamma",
-    "max_expansions",
-    "cycles",
-    "node_pool",
-    "max_walk_len",
-    "graphs_per_split",
-    "noise_gamma",
-    "noise_depth",
-    "split_fractions",
-)
-_SUITE_KEYS = (
-    "seed",
-    "num_relations",
-    "symmetric_fraction",
-    "rules_per_world",
-    "stride",
-    "valid_worlds",
-    "test_worlds",
-    "output_dir",
-)
 
 
 @dataclass(frozen=True)
@@ -59,37 +37,23 @@ class SuiteConfig:
             raise ConfigError("world split counts cannot be negative")
 
     def to_dict(self) -> dict:
-        doc = {
-            "seed": self.seed,
-            "num_relations": self.num_relations,
-            "symmetric_fraction": self.symmetric_fraction,
-            "rules_per_world": self.rules_per_world,
-            "stride": self.stride,
-            "valid_worlds": self.valid_worlds,
-            "test_worlds": self.test_worlds,
-            "output_dir": self.output_dir,
-            "gamma": self.gen.gamma,
-            "max_expansions": self.gen.max_expansions,
-            "cycles": self.gen.cycles,
-            "node_pool": self.gen.node_pool,
-            "max_walk_len": self.gen.max_walk_len,
-            "graphs_per_split": list(self.gen.graphs_per_split),
-            "noise_gamma": self.gen.noise_gamma,
-            "noise_depth": self.gen.noise_depth,
-            "split_fractions": list(self.gen.split_fractions),
-        }
-        return doc
+        """The flat JSON form: every field but ``gen``, then every GenConfig field."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gen"}
+        doc.update((f.name, getattr(self.gen, f.name)) for f in fields(self.gen))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def config_from_dict(doc: dict) -> SuiteConfig:
-    unknown = set(doc) - set(_SUITE_KEYS) - set(_GEN_KEYS)
+    """Inverse of :meth:`SuiteConfig.to_dict`; omitted keys take the defaults."""
+    gen_keys = {f.name for f in fields(GenConfig)}
+    suite_keys = {f.name for f in fields(SuiteConfig)} - {"gen"}
+    unknown = set(doc) - suite_keys - gen_keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    gen_kwargs = {k: doc[k] for k in _GEN_KEYS if k in doc}
-    for tuple_key in ("graphs_per_split", "split_fractions"):
-        if tuple_key in gen_kwargs:
-            gen_kwargs[tuple_key] = tuple(gen_kwargs[tuple_key])
-    suite_kwargs = {k: doc[k] for k in _SUITE_KEYS if k in doc}
+    gen_kwargs = {
+        k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in gen_keys
+    }
+    suite_kwargs = {k: v for k, v in doc.items() if k in suite_keys}
     return SuiteConfig(gen=GenConfig(**gen_kwargs), **suite_kwargs)
 
 

@@ -300,14 +300,17 @@ def write_manifest(
 
 
 def read_manifest(path: Path) -> dict:
-    manifest = _load_json(path / "manifest.json")
+    file = path / "manifest.json"
+    manifest = _load_json(file)
     for key in ("config", "rules", "worlds", "similarity", "protocols"):
-        if key not in manifest:
-            raise SuiteFormatError(f"{path / 'manifest.json'}: missing key {key!r}")
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise SuiteFormatError(f"{file}: missing key {key!r}")
+    if not isinstance(manifest["worlds"], list):
+        raise SuiteFormatError(f"{file}: worlds is not a list")
     for pos, world in enumerate(manifest["worlds"]):
         for key in ("world_id", "split"):
             if not isinstance(world, dict) or key not in world:
-                raise SuiteFormatError(f"{path / 'manifest.json'}: worlds[{pos}] has no {key}")
+                raise SuiteFormatError(f"{file}: worlds[{pos}] has no {key}")
     return manifest
 
 

@@ -41,10 +41,6 @@ class RelationAlphabet:
             if not 0 <= inv < self.size or self.inverse[inv] != r:
                 raise ConfigError("inverse map is not an involution")
 
-    @property
-    def symmetric_flags(self) -> tuple[bool, ...]:
-        return tuple(self.inverse[r] == r for r in range(self.size))
-
     def is_symmetric(self, r: RelationId) -> bool:
         return self.inverse[r] == r
 

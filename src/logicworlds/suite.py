@@ -9,7 +9,7 @@ sub-seeds, so they can be built in any order or in parallel.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,19 +18,19 @@ from typing import TypeVar
 from . import seeds
 from .config import SuiteConfig, config_from_dict
 from .dataset_io import (
+    _parse,
     compute_stats,
     read_manifest,
     read_world,
     ruleset_from_dict,
     ruleset_to_dict,
-    world_dir_name,
     write_manifest,
     write_world,
 )
 from .errors import ConfigError
 from .partition import WorldSpec, partition_rules, similarity_matrix
 from .rules import RuleSet, generate_alphabet, generate_rules, select_rules
-from .sampler import WorldDataset, build_dataset
+from .sampler import SPLIT_NAMES, WorldDataset, build_dataset
 from .worldgraph import WorldGraph, generate_world_graph
 
 T = TypeVar("T")
@@ -116,10 +116,11 @@ def build_world(
     return graph, dataset
 
 
-def _select_worlds(suite: Suite, world_ids: list[int] | None) -> list[WorldSpec]:
+def select_worlds(suite: Suite, world_ids: list[int] | None) -> list[WorldSpec]:
     """The plan's worlds, or those named by ``world_ids``, in plan order.
 
-    A world id the plan does not have is a ConfigError.
+    The one rule for which worlds a command, the writer or a reader
+    covers. A world id the plan does not have is a ConfigError.
     """
     if world_ids is None:
         return suite.worlds
@@ -133,7 +134,7 @@ def _select_worlds(suite: Suite, world_ids: list[int] | None) -> list[WorldSpec]
 def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> Suite:
     """Generate the whole suite in memory (optionally a subset of worlds)."""
     suite = plan_suite(config)
-    for world in _select_worlds(suite, world_ids):
+    for world in select_worlds(suite, world_ids):
         graph, dataset = build_world(suite, world)
         suite.graphs[world.world_id] = graph
         suite.datasets[world.world_id] = dataset
@@ -152,30 +153,46 @@ def protocol_orderings(suite: Suite) -> dict:
     }
 
 
-def read_suite(path: str | Path) -> Suite:
-    """Load a suite directory back into memory."""
+def read_plan(path: str | Path) -> Suite:
+    """Parse a suite's ``manifest.json`` into its plan; load no world.
+
+    The one manifest parser: config, master rules, worlds and their
+    splits. A malformed field is a SuiteFormatError naming the manifest.
+    """
     root = Path(path)
     manifest = read_manifest(root)
-    config = config_from_dict(
-        {k: v for k, v in manifest["config"].items() if v is not None}
-    )
+    return _parse(root / "manifest.json", _plan_from_manifest, manifest)
+
+
+def _plan_from_manifest(manifest: dict) -> Suite:
+    config = config_from_dict(manifest["config"])
     rules = ruleset_from_dict(manifest["rules"])
-    worlds = [
-        WorldSpec(world_id=w["world_id"], rule_indices=tuple(w["rule_indices"]))
-        for w in manifest["worlds"]
-    ]
-    world_splits = {w["world_id"]: w["split"] for w in manifest["worlds"]}
-    suite = Suite(
-        config=config, rules=rules, worlds=worlds, world_splits=world_splits
-    )
-    for world in worlds:
-        wid = world.world_id
-        world_dir = root / world_dir_name(wid)
-        if not world_dir.exists():
-            continue
-        graph, dataset, _ = read_world(root, wid)
-        suite.graphs[wid] = graph
-        suite.datasets[wid] = dataset
+    worlds, world_splits = [], {}
+    for world in manifest["worlds"]:
+        wid, indices, split = world["world_id"], world["rule_indices"], world["split"]
+        if type(wid) is not int or wid in world_splits:
+            raise ValueError(f"world_id {wid!r} is not a new integer")
+        if not all(type(i) is int and 0 <= i < len(rules) for i in indices):
+            raise ValueError(f"world {wid}: rule_indices {indices!r} are not master rules")
+        if split not in SPLIT_NAMES:
+            raise ValueError(f"world {wid}: split {split!r} is not one of {SPLIT_NAMES}")
+        worlds.append(WorldSpec(world_id=wid, rule_indices=tuple(indices)))
+        world_splits[wid] = split
+    return Suite(config=config, rules=rules, worlds=worlds, world_splits=world_splits)
+
+
+def read_suite(path: str | Path) -> Suite:
+    """Load a complete suite directory: its plan and every listed world.
+
+    A listed world without its directory is a SuiteFormatError, as in
+    ``validate``; read one world of a partial suite with ``read_world``.
+    """
+    root = Path(path)
+    suite = read_plan(root)
+    for world in select_worlds(suite, None):
+        graph, dataset, _ = read_world(root, world.world_id)
+        suite.graphs[world.world_id] = graph
+        suite.datasets[world.world_id] = dataset
     return suite
 
 
@@ -211,31 +228,7 @@ def _map_in_pool(fn: Callable[..., T], tasks: list[tuple], workers: int) -> Iter
             pool.shutdown(cancel_futures=True)
 
 
-@dataclass
-class WrittenSuite(Mapping):
-    """What :func:`generate_suite_to_disk` wrote.
-
-    A read-only mapping from each built world's id to its sampling info,
-    plus the plan's rule and world counts and each built world's
-    instance count.
-    """
-
-    rules: int
-    worlds: int
-    sampling_info: dict[int, dict]
-    instances: dict[int, int]
-
-    def __getitem__(self, world_id: int) -> dict:
-        return self.sampling_info[world_id]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sampling_info)
-
-    def __len__(self) -> int:
-        return len(self.sampling_info)
-
-
-def _build_and_write(suite: Suite, world: WorldSpec, out: Path) -> tuple[dict, int]:
+def _build_and_write(suite: Suite, world: WorldSpec, out: Path) -> dict:
     graph, dataset = build_world(suite, world)
     stats = compute_stats(dataset, split=suite.world_splits[world.world_id])
     write_world(
@@ -246,36 +239,29 @@ def _build_and_write(suite: Suite, world: WorldSpec, out: Path) -> tuple[dict, i
         dataset,
         stats,
     )
-    return dataset.sampling_info, len(dataset.all_instances())
+    return dataset.sampling_info
 
 
 def generate_suite_to_disk(
-    config: SuiteConfig,
+    suite: Suite,
     out: str | Path,
     workers: int = 1,
     world_ids: list[int] | None = None,
-) -> WrittenSuite:
-    """Generate straight to disk, world by world (optionally in parallel).
+) -> dict[int, dict]:
+    """Build a planned suite straight to disk, world by world (optionally
+    in parallel).
 
-    The only suite writer: it writes each world directory and the
-    manifest. Returns the per-world sampling info keyed by world_id,
-    with the plan's sizes and the instance counts (see
-    :class:`WrittenSuite`).
-    The result and the bytes on disk are independent of ``workers``. A
-    world id the plan does not have, or ``workers`` < 1, is a
-    ConfigError, raised before anything is written.
+    The only suite writer: it writes each selected world's directory and
+    the manifest of the whole plan. Returns each built world's sampling
+    info, keyed by world_id. The result and the bytes on disk are
+    independent of ``workers``. A world id the plan does not have, or
+    ``workers`` < 1, is a ConfigError, raised before anything is written.
     """
-    suite = plan_suite(config)
-    selected = _select_worlds(suite, world_ids)
+    selected = select_worlds(suite, world_ids)
     out = Path(out)
     results = map_worlds(_build_and_write, [(suite, world, out) for world in selected], workers)
     out.mkdir(parents=True, exist_ok=True)
-    written = WrittenSuite(
-        rules=len(suite.rules.rules), worlds=len(suite.worlds), sampling_info={}, instances={}
-    )
-    for world, (sampling_info, instances) in zip(selected, results):
-        written.sampling_info[world.world_id] = sampling_info
-        written.instances[world.world_id] = instances
+    sampling_info = {world.world_id: info for world, info in zip(selected, results)}
     worlds_doc = [
         {
             "world_id": w.world_id,
@@ -286,10 +272,10 @@ def generate_suite_to_disk(
     ]
     write_manifest(
         out,
-        config.to_dict(),
+        suite.config.to_dict(),
         ruleset_to_dict(suite.rules),
         worlds_doc,
         similarity_matrix(suite.worlds),
         protocol_orderings(suite),
     )
-    return written
+    return sampling_info

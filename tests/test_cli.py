@@ -203,6 +203,44 @@ class TestValidate:
         assert rc == 2
         assert f"{manifest_file}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: doc.update(worlds=5),
+            lambda doc: doc["worlds"][0].update(world_id="0"),
+            lambda doc: doc["worlds"].append(dict(doc["worlds"][0])),
+            lambda doc: doc["worlds"][0].update(rule_indices=[0, len(doc["rules"]["rules"])]),
+            lambda doc: doc["worlds"][0].update(rule_indices=["0"]),
+            lambda doc: doc["worlds"][0].update(split="holdout"),
+            lambda doc: doc["config"].update(stride="x"),
+            lambda doc: doc["rules"]["rules"][0].pop("head"),
+        ],
+        ids=[
+            "worlds_not_a_list",
+            "text_world_id",
+            "repeated_world_id",
+            "rule_index_past_master_rules",
+            "text_rule_index",
+            "unknown_split",
+            "text_stride",
+            "master_rule_without_head",
+        ],
+    )
+    def test_malformed_manifest_is_format_error_naming_it(
+        self, suite_dir, tmp_path, capsys, tamper
+    ):
+        broken = tmp_path / "bad_manifest"
+        shutil.copytree(suite_dir, broken)
+        manifest_file = broken / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        tamper(manifest)
+        manifest_file.write_text(json.dumps(manifest))
+        for command in ("validate", "solve", "stats"):
+            assert main([command, str(broken)]) == 2, command
+            assert f"{manifest_file}:" in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(f"{manifest_file}:")):
+            read_suite(broken)
+
     def test_manifest_world_without_split_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "no_split"
         shutil.copytree(suite_dir, broken)
@@ -325,6 +363,36 @@ class TestStats:
         assert cells[2] == str(doc["num_classes"])
         assert cells[3] == str(doc["num_descriptors"])
         assert float(cells[4]) == pytest.approx(doc["avg_resolution_length"], abs=5e-3)
+
+
+@pytest.fixture(scope="module")
+def one_world_dir(config_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("one_world") / "suite"
+    argv = ["generate", "--config", str(config_file), "--out", str(out), "--world-id", "1"]
+    assert main(argv) == 0
+    return out
+
+
+class TestOneWorldBuild:
+    """A ``generate --world-id`` build lists every world but holds one."""
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "stats"])
+    def test_read_with_its_world_id_only(self, one_world_dir, capsys, command):
+        assert main([command, str(one_world_dir)]) == 2
+        assert f"{one_world_dir / 'rule_0'}" in capsys.readouterr().err
+        assert main([command, str(one_world_dir), "--world-id", "1"]) == 0
+        capsys.readouterr()
+        assert main([command, str(one_world_dir), "--world-id", "999"]) == 2
+        worlds = len(plan_suite(tiny_suite_config()).worlds)
+        err = capsys.readouterr().err
+        assert "999" in err and f"{worlds} worlds" in err
+
+    def test_read_suite_rejects_it_as_validate_does(self, one_world_dir, capsys):
+        assert main(["validate", str(one_world_dir)]) == 2
+        message = f"{one_world_dir / 'rule_0' / 'rules.json'}: missing suite file"
+        assert message in capsys.readouterr().err
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
+            read_suite(one_world_dir)
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from logicworlds.dataset_io import (
 )
 from logicworlds.errors import ConfigError, SuiteFormatError
 from logicworlds.sampler import Instance, WorldDataset
-from logicworlds.suite import generate_suite, generate_suite_to_disk, read_suite
+from logicworlds.suite import generate_suite, generate_suite_to_disk, plan_suite, read_suite
 
 from conftest import tiny_suite_config
 
@@ -156,7 +156,7 @@ def small_suite(tmp_path_factory):
     config = tiny_suite_config()
     suite = generate_suite(config)
     path = tmp_path_factory.mktemp("suite") / "out"
-    generate_suite_to_disk(config, path)
+    generate_suite_to_disk(plan_suite(config), path)
     return config, suite, path
 
 

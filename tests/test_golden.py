@@ -12,7 +12,7 @@ import hashlib
 from pathlib import Path
 
 from logicworlds.config import SuiteConfig
-from logicworlds.suite import generate_suite_to_disk
+from logicworlds.suite import generate_suite_to_disk, plan_suite
 from logicworlds.worldgraph import GenConfig
 
 GOLDEN_CONFIG = SuiteConfig(seed=5, stride=10, gen=GenConfig(graphs_per_split=(20, 5, 5)))
@@ -30,6 +30,6 @@ def tree_sha256(root: Path) -> str:
 
 
 def test_tiny_suite_tree_matches_golden_digest(tmp_path):
-    info = generate_suite_to_disk(GOLDEN_CONFIG, tmp_path, world_ids=GOLDEN_WORLDS)
+    info = generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
     assert sorted(info) == GOLDEN_WORLDS
     assert tree_sha256(tmp_path) == GOLDEN_SHA256

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from logicworlds.suite import generate_suite_to_disk
+from logicworlds.suite import generate_suite_to_disk, plan_suite
 
 from test_golden import GOLDEN_CONFIG
 
@@ -18,7 +18,7 @@ CHECKER = Path(__file__).resolve().parent.parent / "perfbench" / "checker.py"
 
 
 def test_golden_config_suite_passes_the_independent_checker(tmp_path):
-    info = generate_suite_to_disk(GOLDEN_CONFIG, tmp_path)
+    info = generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path)
     assert len(info) == 14
     result = subprocess.run(
         [sys.executable, str(CHECKER), str(tmp_path)], capture_output=True, text=True

@@ -37,3 +37,5 @@ def test_traced_run_succeeds_and_counts_the_golden_suite(tmp_path):
     assert metrics["worldgraph.graphs"] == 14
     assert metrics["sampler.instances"] == 420
     assert metrics["generate.resolver.resolve_descriptor_calls"] > 0
+    assert metrics["suite.plan_suite_s"] > 0
+    assert metrics["dataset_io.read_manifest_s"] > 0
