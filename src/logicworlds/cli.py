@@ -34,6 +34,7 @@ from .dataset_io import (
 )
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
+from .rules import RuleSet
 from .sampler import SPLIT_NAMES
 from .suite import (
     Suite,
@@ -41,6 +42,7 @@ from .suite import (
     map_worlds,
     plan_suite,
     read_plan,
+    select_world_rules,
     select_worlds,
 )
 
@@ -145,15 +147,17 @@ def _planned_worlds(args) -> tuple[Suite, list[int]]:
 
 
 VALIDATE_COUNTS = (
-    "instances", "valid", "ambiguous", "shortcut_violations", "split_leaks", "stats_mismatch"
+    "instances", "valid", "ambiguous", "shortcut_violations", "split_leaks",
+    "stats_mismatch", "rules_mismatch",
 )
 
 
-def validate_world(path: Path, wid: int, split: str) -> dict[str, int]:
+def validate_world(path: Path, wid: int, split: str, rules: RuleSet) -> dict[str, int]:
     """Certify one world: every instance, that no descriptor is shared
-    between its train, valid and test splits (the inductive split), and
-    that its stored stats equal the ones recomputed from its instances
-    under the manifest's ``split``."""
+    between its train, valid and test splits (the inductive split), that
+    its stored stats equal the ones recomputed from its instances under
+    the manifest's ``split``, and that its ``rules.json`` holds ``rules``,
+    the manifest's slice of the master rules."""
     _, ds, stats_doc = read_world(path, wid)
     instances = ds.all_instances()
     if not instances:
@@ -173,6 +177,7 @@ def validate_world(path: Path, wid: int, split: str) -> dict[str, int]:
     counts["stats_mismatch"] = sum(
         stats_doc.get(key) != expected.get(key) for key in stats_doc.keys() | expected.keys()
     )
+    counts["rules_mismatch"] = int(ds.rules != rules)
     return counts
 
 
@@ -183,13 +188,17 @@ def solve_world(path: Path, wid: int) -> float | None:
 
 
 def cmd_validate(args) -> int:
-    suite, wids = _planned_worlds(args)
-    tasks = [(args.suite, wid, suite.world_splits[wid]) for wid in wids]
+    suite = read_plan(args.suite)
+    worlds = select_worlds(suite, _only(args))
+    tasks = [
+        (args.suite, w.world_id, suite.world_splits[w.world_id], select_world_rules(suite, w))
+        for w in worlds
+    ]
     results = map_worlds(validate_world, tasks, args.workers)
     totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
-    for wid, counts in zip(wids, results):
-        per_world[f"rule_{wid}"] = counts
+    for world, counts in zip(worlds, results):
+        per_world[f"rule_{world.world_id}"] = counts
         for key in totals:
             totals[key] += counts[key]
     print(json.dumps({**totals, "worlds": per_world}, indent=2, sort_keys=True))
@@ -198,6 +207,7 @@ def cmd_validate(args) -> int:
         and totals["ambiguous"] == 0
         and totals["split_leaks"] == 0
         and totals["stats_mismatch"] == 0
+        and totals["rules_mismatch"] == 0
     )
     return EXIT_OK if ok else EXIT_INVALID
 

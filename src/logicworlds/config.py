@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .worldgraph import GenConfig
@@ -44,17 +46,41 @@ class SuiteConfig:
 
 
 def config_from_dict(doc: dict) -> SuiteConfig:
-    """Inverse of :meth:`SuiteConfig.to_dict`; omitted keys take the defaults."""
+    """Inverse of :meth:`SuiteConfig.to_dict`; omitted keys take the defaults.
+
+    Each value must have its field's annotated type: a ``bool`` is not an
+    ``int``, an ``int`` is a valid ``float``, and a tuple field takes a
+    list whose elements are checked one by one.
+    """
     gen_keys = {f.name for f in fields(GenConfig)}
     suite_keys = {f.name for f in fields(SuiteConfig)} - {"gen"}
     unknown = set(doc) - suite_keys - gen_keys
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    hints = {**get_type_hints(GenConfig), **get_type_hints(SuiteConfig)}
+    for key, value in doc.items():
+        hint = hints[key]
+        if not _has_type(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"config key {key!r}: {value!r} is not of type {name}")
     gen_kwargs = {
         k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in gen_keys
     }
     suite_kwargs = {k: v for k, v in doc.items() if k in suite_keys}
     return SuiteConfig(gen=GenConfig(**gen_kwargs), **suite_kwargs)
+
+
+def _has_type(value, hint) -> bool:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, arg) for item, arg in zip(value, args)
+        )
+    if origin is UnionType:
+        return any(_has_type(value, arg) for arg in args)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
 def load_config(path: str | Path) -> SuiteConfig:
@@ -69,5 +95,5 @@ def load_config(path: str | Path) -> SuiteConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
         return config_from_dict(doc)
-    except TypeError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}")

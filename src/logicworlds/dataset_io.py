@@ -29,7 +29,7 @@ from pathlib import Path
 from .errors import ConfigError, SuiteFormatError
 from .rules import RelationId, ruleset_from_dict, ruleset_to_dict
 from .sampler import SPLIT_NAMES, Instance, WorldDataset
-from .worldgraph import WorldGraph, worldgraph_from_dict, worldgraph_to_dict
+from .worldgraph import WorldGraph, worldgraph_from_dict, worldgraph_to_json
 
 EASY_THRESHOLD = 0.70
 MEDIUM_THRESHOLD = 0.54
@@ -214,7 +214,7 @@ def write_world(
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
     _dump_json(tmp / "rules.json", world_rules_doc)
-    _dump_json(tmp / "world_graph.json", worldgraph_to_dict(graph))
+    (tmp / "world_graph.json").write_text(worldgraph_to_json(graph) + "\n")
     for split in SPLIT_NAMES:
         lines = [
             json.dumps(

@@ -89,29 +89,38 @@ def assign_world_splits(
     return splits
 
 
+def select_world_rules(suite: Suite, world: WorldSpec) -> RuleSet:
+    """The world's RuleSet: its ``rule_indices`` slice of the master rules."""
+    return select_rules(suite.rules, list(world.rule_indices))
+
+
 def build_world(
     suite: Suite, world: WorldSpec
 ) -> tuple[WorldGraph, WorldDataset]:
-    """Generate one world's graph and dataset from its derived sub-seeds.
+    """Generate one world of a planned suite (see :func:`grow_and_sample`)."""
+    return grow_and_sample(suite.config, select_world_rules(suite, world), world.world_id)
 
-    The world's rules are selected once; growth, the closure check,
-    sampling and certification all use that one RuleSet (and its
-    resolution memo).
+
+def grow_and_sample(
+    config: SuiteConfig, world_rules: RuleSet, world_id: int
+) -> tuple[WorldGraph, WorldDataset]:
+    """Grow one world's graph and sample its dataset from its derived sub-seeds.
+
+    Growth, the closure check, sampling and certification all use the
+    one ``world_rules`` (and its resolution memo).
     """
-    config = suite.config
-    world_rules = select_rules(suite.rules, list(world.rule_indices))
     graph = generate_world_graph(
         world_rules,
         config.gen,
-        seeds.rng_for(config.seed, seeds.TAG_WORLDGRAPH, world.world_id),
-        world_id=world.world_id,
+        seeds.rng_for(config.seed, seeds.TAG_WORLDGRAPH, world_id),
+        world_id=world_id,
     )
     dataset = build_dataset(
         graph,
         world_rules,
         config.gen,
-        seeds.rng_for(config.seed, seeds.TAG_INSTANCE, world.world_id),
-        world_id=world.world_id,
+        seeds.rng_for(config.seed, seeds.TAG_INSTANCE, world_id),
+        world_id=world_id,
     )
     return graph, dataset
 
@@ -228,17 +237,12 @@ def _map_in_pool(fn: Callable[..., T], tasks: list[tuple], workers: int) -> Iter
             pool.shutdown(cancel_futures=True)
 
 
-def _build_and_write(suite: Suite, world: WorldSpec, out: Path) -> dict:
-    graph, dataset = build_world(suite, world)
-    stats = compute_stats(dataset, split=suite.world_splits[world.world_id])
-    write_world(
-        out,
-        world.world_id,
-        ruleset_to_dict(dataset.rules),
-        graph,
-        dataset,
-        stats,
-    )
+def _build_and_write(
+    config: SuiteConfig, world_rules: RuleSet, world_id: int, split: str, out: Path
+) -> dict:
+    graph, dataset = grow_and_sample(config, world_rules, world_id)
+    stats = compute_stats(dataset, split=split)
+    write_world(out, world_id, ruleset_to_dict(world_rules), graph, dataset, stats)
     return dataset.sampling_info
 
 
@@ -259,7 +263,18 @@ def generate_suite_to_disk(
     """
     selected = select_worlds(suite, world_ids)
     out = Path(out)
-    results = map_worlds(_build_and_write, [(suite, world, out) for world in selected], workers)
+    # each task carries its world's rules, not the whole plan
+    tasks = [
+        (
+            suite.config,
+            select_world_rules(suite, world),
+            world.world_id,
+            suite.world_splits[world.world_id],
+            out,
+        )
+        for world in selected
+    ]
+    results = map_worlds(_build_and_write, tasks, workers)
     out.mkdir(parents=True, exist_ok=True)
     sampling_info = {world.world_id: info for world, info in zip(selected, results)}
     worlds_doc = [

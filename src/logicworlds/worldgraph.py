@@ -8,7 +8,9 @@ completes when all rules have fired at least once since the last reset.
 
 Every mutation is recorded in an expansion trace. Replaying the trace
 (:func:`replay_trace`) must reproduce the edge map exactly; tests rely
-on this as the generation oracle.
+on this as the generation oracle. Growth never removes or relabels an
+edge, so the graph's and the current cycle's expandable edges are kept
+in append-only lists as edges are added rather than rescanned.
 
 Rule grammars are not confluent, so an expansion could derive a second
 label for a pair that already carries an edge. The generator maintains
@@ -20,6 +22,9 @@ still conflicts is a GenerationError, never regenerated.
 That fixpoint (:class:`_ClosureState`) is the program's only rule
 engine: :func:`derive_closure` also resolves descriptors, read as path
 graphs, for the resolver.
+
+``world_graph.json`` has one formatter, :func:`worldgraph_to_json`,
+pinned to the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -255,6 +260,11 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
         by_head.setdefault(rule.head, []).append(idx)
 
     edges: dict[tuple[NodeId, NodeId], RelationId] = {}
+    # Growth never removes or relabels an edge, so these append-only lists
+    # equal a scan of ``edges`` (and of the current cycle's edges) for
+    # edges whose label heads a rule, in insertion order.
+    expandable: list[tuple[NodeId, RelationId, NodeId]] = []
+    cycle_expandable: list[tuple[NodeId, RelationId, NodeId]] = []
     trace: list[tuple] = []
     closure = _ClosureState(world_rules)
     weights = [1.0] * len(rules)
@@ -272,8 +282,11 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
     def remaining() -> int:
         return cfg.node_pool - next_node
 
-    def expandable(items: list[tuple[NodeId, RelationId, NodeId]]):
-        return [e for e in items if e[1] in by_head]
+    def add_edge(u: NodeId, r: RelationId, v: NodeId) -> None:
+        edges[(u, v)] = r
+        if r in by_head:
+            expandable.append((u, r, v))
+            cycle_expandable.append((u, r, v))
 
     def expand_edge(u: NodeId, r_t: RelationId, v: NodeId) -> bool:
         """One rewrite of (u, r_t, v); refused if it would break closure."""
@@ -285,24 +298,22 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
         if not closure.try_add_edges([(u, r_i, y), (y, r_j, v)]):
             return False
         next_node += 1
-        edges[(u, y)] = r_i
-        edges[(y, v)] = r_j
+        add_edge(u, r_i, y)
+        add_edge(y, r_j, v)
         trace.append((EXPAND, u, r_i, r_j, v, y))
-        cycle_edges.extend([(u, r_i, y), (y, r_j, v)])
         weights[idx] *= cfg.gamma
         used[idx] += 1
         return True
 
     while remaining() > 0 and completed < cfg.cycles and len(edges) < edge_cap:
         steps = rng.randint(2, cfg.max_expansions)
-        cycle_edges: list[tuple[NodeId, RelationId, NodeId]] = []
+        cycle_expandable.clear()
         nodes_before = next_node
         for step in range(steps):
             if remaining() < 1:
                 break
             if step == 0:
-                existing = expandable([(u, r, v) for (u, v), r in edges.items()])
-                use_fresh = remaining() >= 3 and (not existing or rng.random() < 0.5)
+                use_fresh = remaining() >= 3 and (not expandable or rng.random() < 0.5)
                 if use_fresh:
                     # head choice follows the decayed rule weights, so
                     # heads whose rules are still unused get seeded first
@@ -313,23 +324,22 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
                     # existing edge nor contradict any derivation
                     accepted = closure.try_add_edges([(u, r_t, v)])
                     assert accepted
-                    edges[(u, v)] = r_t
+                    add_edge(u, r_t, v)
                     trace.append((SEED_FRESH, u, r_t, v))
-                elif existing:
-                    u, r_t, v = existing[rng.randrange(len(existing))]
+                elif expandable:
+                    u, r_t, v = expandable[rng.randrange(len(expandable))]
                     trace.append((SEED_EXISTING, u, r_t, v))
+                    cycle_expandable.append((u, r_t, v))
                 else:
                     break
-                cycle_edges.append((u, r_t, v))
+            # the seed heads a rule, so the cycle always has a candidate; a
+            # refused rewrite changes neither the candidates nor the weights
+            cand_weights = [
+                sum(weights[i] for i in by_head[e[1]]) for e in cycle_expandable
+            ]
             expanded = False
             for _ in range(_EXPANSION_RETRIES):
-                candidates = expandable(cycle_edges)
-                if not candidates:
-                    break
-                cand_weights = [
-                    sum(weights[i] for i in by_head[e[1]]) for e in candidates
-                ]
-                u, r_t, v = rng.choices(candidates, weights=cand_weights)[0]
+                u, r_t, v = rng.choices(cycle_expandable, weights=cand_weights)[0]
                 if expand_edge(u, r_t, v):
                     expanded = True
                     break
@@ -390,8 +400,22 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
     return diagnostics
 
 
-def worldgraph_to_dict(graph: WorldGraph) -> dict:
-    return {"nodes": graph.node_count, "edges": [[u, r, v] for (u, v), r in graph.edges.items()]}
+def worldgraph_to_json(graph: WorldGraph) -> str:
+    """The graph's ``{"nodes": n, "edges": [[u, r, v], ...]}`` document as
+    exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    Written out directly: with ``indent`` the stdlib runs its pure-Python
+    encoder, several times slower on a graph of a few thousand edges.
+    """
+    if not graph.edges:
+        edges = "[]"
+    else:
+        items = ",\n".join(
+            f"    [\n      {u},\n      {r},\n      {v}\n    ]"
+            for (u, v), r in graph.edges.items()
+        )
+        edges = f"[\n{items}\n  ]"
+    return f'{{\n  "edges": {edges},\n  "nodes": {graph.node_count}\n}}'
 
 
 def worldgraph_from_dict(data: dict) -> WorldGraph:

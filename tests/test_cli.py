@@ -170,6 +170,21 @@ class TestValidate:
         assert report["worlds"]["rule_0"]["stats_mismatch"] == 1
         assert report["stats_mismatch"] == 1
 
+    def test_tampered_rules_fail(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "rules"
+        shutil.copytree(suite_dir, broken)
+        rules_file = broken / "rule_0" / "rules.json"
+        doc = json.loads(rules_file.read_text())
+        rule = doc["rules"][0]
+        rule["head"] = (rule["head"] + 1) % doc["K"]
+        rules_file.write_text(json.dumps(doc))
+        rc = main(["validate", str(broken)])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["rules_mismatch"] == 1
+        assert report["worlds"]["rule_0"]["rules_mismatch"] == 1
+        assert all(w["rules_mismatch"] == 0 for n, w in report["worlds"].items() if n != "rule_0")
+
     def test_world_without_instances_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "empty"
         shutil.copytree(suite_dir, broken)
@@ -213,6 +228,8 @@ class TestValidate:
             lambda doc: doc["worlds"][0].update(rule_indices=["0"]),
             lambda doc: doc["worlds"][0].update(split="holdout"),
             lambda doc: doc["config"].update(stride="x"),
+            lambda doc: doc["config"].update(stride=1.5),
+            lambda doc: doc["config"].update(seed=True),
             lambda doc: doc["rules"]["rules"][0].pop("head"),
         ],
         ids=[
@@ -223,6 +240,8 @@ class TestValidate:
             "text_rule_index",
             "unknown_split",
             "text_stride",
+            "float_stride",
+            "bool_seed",
             "master_rule_without_head",
         ],
     )

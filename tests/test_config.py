@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from logicworlds.cli import main
 from logicworlds.config import SuiteConfig, config_from_dict
 from logicworlds.errors import ConfigError
 from logicworlds.worldgraph import GenConfig
+
+from conftest import tiny_suite_config
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 weights = st.tuples(*[st.integers(1, 100)] * 3)
@@ -51,3 +54,51 @@ def test_an_unknown_key_is_a_config_error(config, key):
     doc[key] = 1
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict(doc)
+
+
+WRONG_TYPES = [
+    ("stride", 1.5),
+    ("seed", "abc"),
+    ("noise_depth", 1.5),
+    ("seed", True),
+    ("num_relations", None),
+    ("symmetric_fraction", "0.5"),
+    ("gamma", False),
+    ("output_dir", 3),
+    ("graphs_per_split", 5),
+    ("graphs_per_split", [5, 5.0, 5]),
+    ("split_fractions", [0.5, 0.25, "0.25"]),
+]
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES, ids=[f"{k}={v!r}" for k, v in WRONG_TYPES])
+def test_a_wrong_typed_value_is_a_config_error_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        config_from_dict({key: value})
+
+
+NUMBER_KEYS = sorted(k for k, v in SuiteConfig().to_dict().items() if type(v) in (int, float))
+
+
+@given(suite_configs, st.sampled_from(NUMBER_KEYS), st.booleans() | st.text() | st.none())
+def test_a_bool_text_or_null_number_is_a_config_error(config, key, value):
+    doc = config.to_dict()
+    doc[key] = value
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        config_from_dict(doc)
+
+
+def test_an_int_is_a_valid_float():
+    config = config_from_dict({"gamma": 1, "noise_gamma": 0, "symmetric_fraction": 1})
+    assert (config.gen.gamma, config.gen.noise_gamma, config.symmetric_fraction) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("key, value", [("stride", 1.5), ("seed", "abc"), ("noise_depth", 1.5)])
+def test_generate_exits_2_naming_the_key_and_file(tmp_path, capsys, key, value):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({**tiny_suite_config().to_dict(), key: value}))
+    out = tmp_path / "suite"
+    assert main(["generate", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config_file}: config key '{key}'" in err
+    assert not out.exists()

@@ -9,7 +9,12 @@ change log.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from logicworlds.config import SuiteConfig
 from logicworlds.suite import generate_suite_to_disk, plan_suite
@@ -18,6 +23,9 @@ from logicworlds.worldgraph import GenConfig
 GOLDEN_CONFIG = SuiteConfig(seed=5, stride=10, gen=GenConfig(graphs_per_split=(20, 5, 5)))
 GOLDEN_WORLDS = [0, 13]  # first (train) and last (test) world of the 14
 GOLDEN_SHA256 = "c3c321229fe7fc852eb6e9bbdea87a0aa70911b755658c31a175a85f6c0652d5"
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
 
 
 def tree_sha256(root: Path) -> str:
@@ -33,3 +41,26 @@ def test_tiny_suite_tree_matches_golden_digest(tmp_path):
     info = generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
     assert sorted(info) == GOLDEN_WORLDS
     assert tree_sha256(tmp_path) == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "987654"])
+def test_digest_does_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    """No set or dict order of str keys may reach the bytes: a fresh
+    interpreter under another ``PYTHONHASHSEED`` writes the same tree."""
+    code = (
+        "import sys\n"
+        "from test_golden import GOLDEN_CONFIG, GOLDEN_WORLDS\n"
+        "from logicworlds.suite import generate_suite_to_disk, plan_suite\n"
+        "generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), sys.argv[1], world_ids=GOLDEN_WORLDS)\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join([str(SRC), str(HERE)]),
+    }
+    out = tmp_path / "suite"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tree_sha256(out) == GOLDEN_SHA256

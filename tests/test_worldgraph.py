@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.worldgraph import (
+    EDGE_CAP_PER_RULE,
     EXPAND,
+    SEED_EXISTING,
     SEED_FRESH,
+    _EXPANSION_RETRIES,
+    _MAX_STALLED_CYCLES,
     GenConfig,
     WorldGraph,
     _ClosureState,
@@ -18,7 +24,7 @@ from logicworlds.worldgraph import (
     replay_trace,
     rule_usage,
     worldgraph_from_dict,
-    worldgraph_to_dict,
+    worldgraph_to_json,
 )
 
 from conftest import make_rules
@@ -42,6 +48,114 @@ def reference_closure(edges, rules):
     for u, r, v in facts:
         labels.setdefault((u, v), set()).add(r)
     return labels
+
+
+def reference_expand(world_rules, cfg, rng):
+    """The rescanning growth loop, kept as the reference: it rebuilds the
+    expandable edges from every edge each cycle and re-filters the cycle's
+    edges on every retry. The generator's incremental lists must
+    reproduce its edges, node count and trace exactly."""
+    rules = world_rules.rules
+    heads = list(world_rules.head_symbols())
+    by_head = {}
+    for idx, rule in enumerate(rules):
+        by_head.setdefault(rule.head, []).append(idx)
+
+    edges = {}
+    trace = []
+    closure = _ClosureState(world_rules)
+    weights = [1.0] * len(rules)
+    used = [0] * len(rules)
+    completed = 0
+    next_node = 0
+    edge_cap = EDGE_CAP_PER_RULE * len(rules)
+    stalled_cycles = 0
+
+    def fresh():
+        nonlocal next_node
+        next_node += 1
+        return next_node - 1
+
+    def remaining():
+        return cfg.node_pool - next_node
+
+    def expandable(items):
+        return [e for e in items if e[1] in by_head]
+
+    def expand_edge(u, r_t, v):
+        """One rewrite of (u, r_t, v); refused if it would break closure."""
+        nonlocal next_node
+        rule_ids = by_head[r_t]
+        idx = rng.choices(rule_ids, weights=[weights[i] for i in rule_ids])[0]
+        r_i, r_j = rules[idx].body
+        y = next_node  # allocate only on success
+        if not closure.try_add_edges([(u, r_i, y), (y, r_j, v)]):
+            return False
+        next_node += 1
+        edges[(u, y)] = r_i
+        edges[(y, v)] = r_j
+        trace.append((EXPAND, u, r_i, r_j, v, y))
+        cycle_edges.extend([(u, r_i, y), (y, r_j, v)])
+        weights[idx] *= cfg.gamma
+        used[idx] += 1
+        return True
+
+    while remaining() > 0 and completed < cfg.cycles and len(edges) < edge_cap:
+        steps = rng.randint(2, cfg.max_expansions)
+        cycle_edges = []
+        nodes_before = next_node
+        for step in range(steps):
+            if remaining() < 1:
+                break
+            if step == 0:
+                existing = expandable([(u, r, v) for (u, v), r in edges.items()])
+                use_fresh = remaining() >= 3 and (not existing or rng.random() < 0.5)
+                if use_fresh:
+                    # head choice follows the decayed rule weights, so
+                    # heads whose rules are still unused get seeded first
+                    head_weights = [sum(weights[i] for i in by_head[h]) for h in heads]
+                    r_t = rng.choices(heads, weights=head_weights)[0]
+                    u, v = fresh(), fresh()
+                    # a fresh disconnected pair can neither collide with an
+                    # existing edge nor contradict any derivation
+                    accepted = closure.try_add_edges([(u, r_t, v)])
+                    assert accepted
+                    edges[(u, v)] = r_t
+                    trace.append((SEED_FRESH, u, r_t, v))
+                elif existing:
+                    u, r_t, v = existing[rng.randrange(len(existing))]
+                    trace.append((SEED_EXISTING, u, r_t, v))
+                else:
+                    break
+                cycle_edges.append((u, r_t, v))
+            expanded = False
+            for _ in range(_EXPANSION_RETRIES):
+                candidates = expandable(cycle_edges)
+                if not candidates:
+                    break
+                cand_weights = [
+                    sum(weights[i] for i in by_head[e[1]]) for e in candidates
+                ]
+                u, r_t, v = rng.choices(candidates, weights=cand_weights)[0]
+                if expand_edge(u, r_t, v):
+                    expanded = True
+                    break
+            if not expanded and step > 0:
+                break
+        if used and min(used) >= 1:
+            completed += 1
+            weights = [1.0] * len(rules)
+            used = [0] * len(rules)
+        if next_node == nodes_before:
+            # an unproductive cycle can be bad luck (every expansion
+            # draw rejected); only a long run of them means a dead end
+            stalled_cycles += 1
+            if stalled_cycles >= _MAX_STALLED_CYCLES:
+                break
+        else:
+            stalled_cycles = 0
+
+    return WorldGraph(node_count=next_node, edges=edges, trace=trace)
 
 
 def has_edge_conflict(edges, rules):
@@ -72,6 +186,32 @@ def labelled_edges(nodes=6, max_size=12):
             st.integers(0, RELATIONS - 1), min_size=len(pairs), max_size=len(pairs)
         ).map(lambda labels: [(u, r, v) for (u, v), r in zip(pairs, labels)])
     )
+
+
+@st.composite
+def growth_rule_sets(draw):
+    """Non-empty rule sets: small random grammars, or generated alphabets
+    and rules as a suite draws them."""
+    if draw(st.booleans()):
+        return draw(rule_sets().filter(lambda rules: rules.rules))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return generate_rules(generate_alphabet(draw(st.integers(2, 16)), rng), rng)
+
+
+growth_configs = st.builds(
+    GenConfig,
+    gamma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    max_expansions=st.integers(2, 8),
+    cycles=st.integers(1, 3),
+    node_pool=st.integers(3, 250),
+)
+
+
+@st.composite
+def world_graphs(draw):
+    """Graphs of any ints, in any edge order; JSON takes them all."""
+    edges = draw(st.dictionaries(st.tuples(st.integers(), st.integers()), st.integers()))
+    return WorldGraph(node_count=draw(st.integers()), edges=edges)
 
 
 def generated_sample(seed, k=12, cfg=None):
@@ -229,9 +369,36 @@ class TestGenConfig:
             GenConfig(split_fractions=(0.5, 0.5, 0.5))
 
 
+class TestIncrementalGrowth:
+    @settings(max_examples=150, deadline=None)
+    @given(rules=growth_rule_sets(), cfg=growth_configs, seed=st.integers(0, 2**64))
+    def test_growth_equals_rescanning_reference(self, rules, cfg, seed):
+        # generate_world_graph grows from one sub-seed drawn from its rng
+        sub_seed = random.Random(seed).getrandbits(64)
+        try:
+            ref = reference_expand(rules, cfg, random.Random(sub_seed))
+        except ValueError as exc:
+            # under a tiny gamma every rule weight can underflow to 0, and
+            # the weighted draw fails: it must fail the same way
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                generate_world_graph(rules, cfg, random.Random(seed))
+            return
+        graph = generate_world_graph(rules, cfg, random.Random(seed))
+        assert list(graph.edges.items()) == list(ref.edges.items())
+        assert graph.node_count == ref.node_count
+        assert graph.trace == ref.trace
+
+
 class TestSerialization:
     def test_round_trip(self):
         _, _, graph = generated_sample(4)
-        doc = worldgraph_to_dict(graph)
+        doc = json.loads(worldgraph_to_json(graph))
         assert set(doc) == {"nodes", "edges"}
         assert worldgraph_from_dict(doc) == WorldGraph(graph.node_count, graph.edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=world_graphs())
+    @example(graph=WorldGraph(node_count=0, edges={}))
+    def test_text_equals_stdlib_indent_encoder(self, graph):
+        doc = {"nodes": graph.node_count, "edges": [[u, r, v] for (u, v), r in graph.edges.items()]}
+        assert worldgraph_to_json(graph) == json.dumps(doc, indent=2, sort_keys=True)
