@@ -14,14 +14,12 @@ from .config import SuiteConfig, load_config
 from .dataset_io import (
     Difficulty,
     ExtendedGraph,
-    WorldStats,
     compute_stats,
     difficulty_bucket,
     extend_graph,
 )
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .partition import (
-    RulePartition,
     WorldSpec,
     order_curriculum,
     partition_rules,

@@ -29,12 +29,11 @@ from .dataset_io import (
     compute_stats,
     difficulty_bucket,
     read_world,
-    stats_payload,
     world_dir_name,
 )
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
-from .rules import RuleSet
+from .rules import RuleSet, select_rules
 from .sampler import SPLIT_NAMES
 from .suite import (
     Suite,
@@ -42,7 +41,6 @@ from .suite import (
     map_worlds,
     plan_suite,
     read_plan,
-    select_world_rules,
     select_worlds,
 )
 
@@ -147,17 +145,18 @@ def _planned_worlds(args) -> tuple[Suite, list[int]]:
 
 
 VALIDATE_COUNTS = (
-    "instances", "valid", "ambiguous", "shortcut_violations", "split_leaks",
-    "stats_mismatch", "rules_mismatch",
+    "instances", "valid", "ambiguous", "shortcut_violations", "walk_len_violations",
+    "split_leaks", "stats_mismatch", "rules_mismatch",
 )
 
 
 def validate_world(path: Path, wid: int, split: str, rules: RuleSet) -> dict[str, int]:
-    """Certify one world: every instance, that no descriptor is shared
-    between its train, valid and test splits (the inductive split), that
-    its stored stats equal the ones recomputed from its instances under
-    the manifest's ``split``, and that its ``rules.json`` holds ``rules``,
-    the manifest's slice of the master rules."""
+    """Certify one world: every instance, that each descriptor has 2 to
+    ``max_walk_len`` relations, that no descriptor is shared between its
+    train, valid and test splits (the inductive split), that its stored
+    stats equal the ones recomputed from its instances under the
+    manifest's ``split``, and that its ``rules.json`` holds ``rules``, the
+    manifest's slice of the master rules."""
     _, ds, stats_doc = read_world(path, wid)
     instances = ds.all_instances()
     if not instances:
@@ -169,11 +168,12 @@ def validate_world(path: Path, wid: int, split: str, rules: RuleSet) -> dict[str
         counts["valid"] += report.is_valid
         counts["ambiguous"] += report.ambiguous
         counts["shortcut_violations"] += not report.shortcut_free
+        counts["walk_len_violations"] += not 2 <= len(inst.descriptor) <= ds.max_walk_len
     train, valid, test = (
         {inst.descriptor for inst in ds.instances[name]} for name in SPLIT_NAMES
     )
     counts["split_leaks"] = len((train & valid) | (train & test) | (valid & test))
-    expected = stats_payload(compute_stats(ds, split), ds)
+    expected = compute_stats(ds, split)
     counts["stats_mismatch"] = sum(
         stats_doc.get(key) != expected.get(key) for key in stats_doc.keys() | expected.keys()
     )
@@ -191,7 +191,12 @@ def cmd_validate(args) -> int:
     suite = read_plan(args.suite)
     worlds = select_worlds(suite, _only(args))
     tasks = [
-        (args.suite, w.world_id, suite.world_splits[w.world_id], select_world_rules(suite, w))
+        (
+            args.suite,
+            w.world_id,
+            suite.world_splits[w.world_id],
+            select_rules(suite.rules, w.rule_indices),
+        )
         for w in worlds
     ]
     results = map_worlds(validate_world, tasks, args.workers)
@@ -205,6 +210,7 @@ def cmd_validate(args) -> int:
     ok = (
         totals["valid"] == totals["instances"]
         and totals["ambiguous"] == 0
+        and totals["walk_len_violations"] == 0
         and totals["split_leaks"] == 0
         and totals["stats_mismatch"] == 0
         and totals["rules_mismatch"] == 0

@@ -9,7 +9,7 @@ config and seed):
     <out>/rule_<id>/rules.json         the world's rule subset
     <out>/rule_<id>/world_graph.json   {"nodes": n, "edges": [[u, r, v], ...]}
     <out>/rule_<id>/{train,valid,test}.jsonl   one instance per line
-    <out>/rule_<id>/stats.json         WorldStats + sampling info
+    <out>/rule_<id>/stats.json         compute_stats: NC/ND/ARL/AN/AE + sampling info
 
 Instance lines follow the schema
 ``{"edges": [[u, r, v], ...], "query": [u, v], "target": r,
@@ -60,33 +60,33 @@ def difficulty_bucket(accuracy: float) -> Difficulty:
     return Difficulty.HARD
 
 
-@dataclass(frozen=True)
-class WorldStats:
-    """Table-style aggregate columns for one world's dataset."""
+def compute_stats(ds: WorldDataset, split: str = "train") -> dict:
+    """The world's ``stats.json`` document, tagged with its world ``split``.
 
-    num_classes: int
-    num_descriptors: int
-    avg_resolution_length: float
-    avg_nodes: float
-    avg_edges: float
-    split: str
-
-
-def compute_stats(ds: WorldDataset, split: str = "train") -> WorldStats:
-    """Aggregate over all instances of the dataset (every split pooled)."""
+    NC, ND, ARL, AN and AE aggregate over all instances of the dataset
+    (every split pooled); the means are rounded to FLOAT_DIGITS.
+    """
     instances = ds.all_instances()
     if not instances:
         raise ConfigError("cannot compute statistics of an empty dataset")
     n = len(instances)
-    # integer sums divided once: the correctly rounded quotient
-    return WorldStats(
-        num_classes=len({inst.target for inst in instances}),
-        num_descriptors=len({inst.descriptor for inst in instances}),
-        avg_resolution_length=sum(len(inst.descriptor) for inst in instances) / n,
-        avg_nodes=sum(inst.node_count for inst in instances) / n,
-        avg_edges=sum(len(inst.edges) for inst in instances) / n,
-        split=split,
-    )
+
+    def mean(total: int) -> float:
+        # an integer sum divided once: the correctly rounded quotient
+        return round(total / n, FLOAT_DIGITS)
+
+    return {
+        "world_id": ds.world_id,
+        "split": split,
+        "num_classes": len({inst.target for inst in instances}),
+        "num_descriptors": len({inst.descriptor for inst in instances}),
+        "avg_resolution_length": mean(sum(len(inst.descriptor) for inst in instances)),
+        "avg_nodes": mean(sum(inst.node_count for inst in instances)),
+        "avg_edges": mean(sum(len(inst.edges) for inst in instances)),
+        "instances": {name: len(ds.instances[name]) for name in SPLIT_NAMES},
+        "max_walk_len": ds.max_walk_len,
+        "sampling_info": ds.sampling_info,
+    }
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,6 @@ def extend_graph(edges: list[tuple[int, RelationId, int]]) -> ExtendedGraph:
         edge_node_labels=tuple(labels),
         links=tuple(links),
     )
-
-
-def _round(x: float) -> float:
-    return round(x, FLOAT_DIGITS)
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -184,36 +180,17 @@ def instance_from_dict(data: dict) -> Instance:
     )
 
 
-def stats_payload(stats: WorldStats, ds: WorldDataset) -> dict:
-    return {
-        "world_id": ds.world_id,
-        "split": stats.split,
-        "num_classes": stats.num_classes,
-        "num_descriptors": stats.num_descriptors,
-        "avg_resolution_length": _round(stats.avg_resolution_length),
-        "avg_nodes": _round(stats.avg_nodes),
-        "avg_edges": _round(stats.avg_edges),
-        "instances": {name: len(ds.instances[name]) for name in SPLIT_NAMES},
-        "max_walk_len": ds.max_walk_len,
-        "sampling_info": ds.sampling_info,
-    }
-
-
 def write_world(
-    path: Path,
-    world_id: int,
-    world_rules_doc: dict,
-    graph: WorldGraph,
-    ds: WorldDataset,
-    stats: WorldStats,
+    path: Path, world_id: int, graph: WorldGraph, ds: WorldDataset, world_split: str
 ) -> None:
-    """Write one world directory atomically (temp dir + rename)."""
+    """Write one world directory atomically (temp dir + rename); ``world_split``
+    is the world's manifest split, recorded in its ``stats.json``."""
     final = path / world_dir_name(world_id)
     tmp = path / f".tmp_{world_dir_name(world_id)}"
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    _dump_json(tmp / "rules.json", world_rules_doc)
+    _dump_json(tmp / "rules.json", ruleset_to_dict(ds.rules))
     (tmp / "world_graph.json").write_text(worldgraph_to_json(graph) + "\n")
     for split in SPLIT_NAMES:
         lines = [
@@ -223,7 +200,7 @@ def write_world(
             for inst in ds.instances[split]
         ]
         (tmp / f"{split}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    _dump_json(tmp / "stats.json", stats_payload(stats, ds))
+    _dump_json(tmp / "stats.json", compute_stats(ds, world_split))
     if final.exists():
         shutil.rmtree(final)
     tmp.rename(final)
@@ -317,7 +294,6 @@ def read_manifest(path: Path) -> dict:
 __all__ = [
     "Difficulty",
     "ExtendedGraph",
-    "WorldStats",
     "compute_stats",
     "difficulty_bucket",
     "extend_graph",
@@ -325,9 +301,6 @@ __all__ = [
     "instance_to_dict",
     "read_manifest",
     "read_world",
-    "ruleset_from_dict",
-    "ruleset_to_dict",
-    "stats_payload",
     "world_dir_name",
     "write_manifest",
     "write_world",

@@ -22,26 +22,14 @@ class WorldSpec:
     rule_indices: tuple[int, ...]
 
 
-@dataclass
-class RulePartition:
-    """The permuted master rule set plus its sliding-window worlds."""
-
-    rules: RuleSet  # master rules, already in permuted order
-    worlds: list[WorldSpec]
-    w: int
-    s: int
-
-    def world_rules(self, world: WorldSpec) -> RuleSet:
-        return select_rules(self.rules, list(world.rule_indices))
-
-
 def partition_rules(
     rules: RuleSet, w: int, s: int, rng: random.Random
-) -> RulePartition:
+) -> tuple[RuleSet, list[WorldSpec]]:
     """Permute the master list, then take windows [i, i+w) for i = 0, s, 2s, ...
 
-    The last window start is the inclusive bound ``len(rules) - w``, so
-    the partition yields ``(len(rules) - w) // s + 1`` worlds.
+    Returns the permuted master rules and the worlds, whose ``rule_indices``
+    index them. The last window start is the inclusive bound
+    ``len(rules) - w``, so the partition yields ``(len(rules) - w) // s + 1`` worlds.
     """
     n = len(rules)
     if not 0 < w <= n:
@@ -55,7 +43,7 @@ def partition_rules(
         WorldSpec(world_id=wid, rule_indices=tuple(range(start, start + w)))
         for wid, start in enumerate(range(0, n - w + 1, s))
     ]
-    return RulePartition(rules=permuted, worlds=worlds, w=w, s=s)
+    return permuted, worlds
 
 
 def similarity(a: WorldSpec, b: WorldSpec) -> int:

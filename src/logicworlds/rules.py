@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -270,8 +271,8 @@ def compose(rules: RuleSet, r_a: RelationId, r_b: RelationId) -> RelationId | No
     return None if rule is None else rule.head
 
 
-def select_rules(rules: RuleSet, indices: list[int]) -> RuleSet:
-    """Sub-ruleset over the same alphabet (used for per-world rules)."""
+def select_rules(rules: RuleSet, indices: Sequence[int]) -> RuleSet:
+    """Sub-ruleset over the same alphabet (a world's ``rule_indices`` slice)."""
     return RuleSet(alphabet=rules.alphabet, rules=tuple(rules.rules[i] for i in indices))
 
 

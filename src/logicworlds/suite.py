@@ -17,19 +17,17 @@ from typing import TypeVar
 
 from . import seeds
 from .config import SuiteConfig, config_from_dict
-from .dataset_io import (
-    _parse,
-    compute_stats,
-    read_manifest,
-    read_world,
-    ruleset_from_dict,
-    ruleset_to_dict,
-    write_manifest,
-    write_world,
-)
+from .dataset_io import _parse, read_manifest, read_world, write_manifest, write_world
 from .errors import ConfigError
 from .partition import WorldSpec, partition_rules, similarity_matrix
-from .rules import RuleSet, generate_alphabet, generate_rules, select_rules
+from .rules import (
+    RuleSet,
+    generate_alphabet,
+    generate_rules,
+    ruleset_from_dict,
+    ruleset_to_dict,
+    select_rules,
+)
 from .sampler import SPLIT_NAMES, WorldDataset, build_dataset
 from .worldgraph import WorldGraph, generate_world_graph
 
@@ -54,21 +52,16 @@ def plan_suite(config: SuiteConfig) -> Suite:
         config.symmetric_fraction,
     )
     master = generate_rules(alphabet, seeds.rng_for(config.seed, seeds.TAG_RULES))
-    partition = partition_rules(
+    rules, worlds = partition_rules(
         master,
         config.rules_per_world,
         config.stride,
         seeds.rng_for(config.seed, seeds.TAG_PARTITION),
     )
     world_splits = assign_world_splits(
-        [w.world_id for w in partition.worlds], config.valid_worlds, config.test_worlds
+        [w.world_id for w in worlds], config.valid_worlds, config.test_worlds
     )
-    return Suite(
-        config=config,
-        rules=partition.rules,
-        worlds=partition.worlds,
-        world_splits=world_splits,
-    )
+    return Suite(config=config, rules=rules, worlds=worlds, world_splits=world_splits)
 
 
 def assign_world_splits(
@@ -87,18 +80,6 @@ def assign_world_splits(
     for pos, wid in enumerate(world_ids):
         splits[wid] = "train" if pos < cut_valid else ("valid" if pos < cut_test else "test")
     return splits
-
-
-def select_world_rules(suite: Suite, world: WorldSpec) -> RuleSet:
-    """The world's RuleSet: its ``rule_indices`` slice of the master rules."""
-    return select_rules(suite.rules, list(world.rule_indices))
-
-
-def build_world(
-    suite: Suite, world: WorldSpec
-) -> tuple[WorldGraph, WorldDataset]:
-    """Generate one world of a planned suite (see :func:`grow_and_sample`)."""
-    return grow_and_sample(suite.config, select_world_rules(suite, world), world.world_id)
 
 
 def grow_and_sample(
@@ -144,7 +125,8 @@ def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> S
     """Generate the whole suite in memory (optionally a subset of worlds)."""
     suite = plan_suite(config)
     for world in select_worlds(suite, world_ids):
-        graph, dataset = build_world(suite, world)
+        world_rules = select_rules(suite.rules, world.rule_indices)
+        graph, dataset = grow_and_sample(config, world_rules, world.world_id)
         suite.graphs[world.world_id] = graph
         suite.datasets[world.world_id] = dataset
     return suite
@@ -241,8 +223,7 @@ def _build_and_write(
     config: SuiteConfig, world_rules: RuleSet, world_id: int, split: str, out: Path
 ) -> dict:
     graph, dataset = grow_and_sample(config, world_rules, world_id)
-    stats = compute_stats(dataset, split=split)
-    write_world(out, world_id, ruleset_to_dict(world_rules), graph, dataset, stats)
+    write_world(out, world_id, graph, dataset, split)
     return dataset.sampling_info
 
 
@@ -267,7 +248,7 @@ def generate_suite_to_disk(
     tasks = [
         (
             suite.config,
-            select_world_rules(suite, world),
+            select_rules(suite.rules, world.rule_indices),
             world.world_id,
             suite.world_splits[world.world_id],
             out,

@@ -137,11 +137,12 @@ def generate_world_graph(
 
     Growth refuses every expansion that would contradict an edge label,
     so :func:`closure_check` must find no edge conflict in the result;
-    one is a GenerationError naming the world.
+    one is a GenerationError naming the world. A weighted draw whose
+    weights ``gamma`` has all decayed to 0.0 is a ConfigError naming it.
     """
     if not world_rules.rules:
         raise DegenerateWorldError(f"world {world_id} has no rules")
-    graph = _expand(world_rules, cfg, random.Random(rng.getrandbits(64)))
+    graph = _expand(world_rules, cfg, random.Random(rng.getrandbits(64)), world_id)
     conflicts = [
         d.detail for d in closure_check(graph, world_rules) if d.kind == "edge-conflict"
     ]
@@ -252,7 +253,9 @@ _EXPANSION_RETRIES = 10
 _MAX_STALLED_CYCLES = 25
 
 
-def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGraph:
+def _expand(
+    world_rules: RuleSet, cfg: GenConfig, rng: random.Random, world_id: int
+) -> WorldGraph:
     rules = world_rules.rules
     heads = list(world_rules.head_symbols())
     by_head: dict[RelationId, list[int]] = {}
@@ -282,6 +285,12 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
     def remaining() -> int:
         return cfg.node_pool - next_node
 
+    def draw(population: list, draw_weights: list[float]):
+        # a tiny gamma can decay every weight of a draw to 0.0
+        if sum(draw_weights) <= 0.0:
+            raise ConfigError(f"world {world_id}: gamma={cfg.gamma} decays every rule weight to 0")
+        return rng.choices(population, weights=draw_weights)[0]
+
     def add_edge(u: NodeId, r: RelationId, v: NodeId) -> None:
         edges[(u, v)] = r
         if r in by_head:
@@ -292,7 +301,7 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
         """One rewrite of (u, r_t, v); refused if it would break closure."""
         nonlocal next_node
         rule_ids = by_head[r_t]
-        idx = rng.choices(rule_ids, weights=[weights[i] for i in rule_ids])[0]
+        idx = draw(rule_ids, [weights[i] for i in rule_ids])
         r_i, r_j = rules[idx].body
         y = next_node  # allocate only on success
         if not closure.try_add_edges([(u, r_i, y), (y, r_j, v)]):
@@ -318,7 +327,7 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
                     # head choice follows the decayed rule weights, so
                     # heads whose rules are still unused get seeded first
                     head_weights = [sum(weights[i] for i in by_head[h]) for h in heads]
-                    r_t = rng.choices(heads, weights=head_weights)[0]
+                    r_t = draw(heads, head_weights)
                     u, v = fresh(), fresh()
                     # a fresh disconnected pair can neither collide with an
                     # existing edge nor contradict any derivation
@@ -339,7 +348,7 @@ def _expand(world_rules: RuleSet, cfg: GenConfig, rng: random.Random) -> WorldGr
             ]
             expanded = False
             for _ in range(_EXPANSION_RETRIES):
-                u, r_t, v = rng.choices(cycle_expandable, weights=cand_weights)[0]
+                u, r_t, v = draw(cycle_expandable, cand_weights)
                 if expand_edge(u, r_t, v):
                     expanded = True
                     break

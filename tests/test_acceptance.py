@@ -24,9 +24,10 @@ from logicworlds.rules import (
     generate_alphabet,
     generate_rules,
     invert_rule,
+    select_rules,
 )
 from logicworlds.sampler import SPLIT_NAMES
-from logicworlds.suite import build_world, generate_suite, plan_suite
+from logicworlds.suite import generate_suite, grow_and_sample, plan_suite
 from logicworlds.worldgraph import GenConfig
 
 from conftest import make_rules, tiny_suite_config
@@ -62,13 +63,13 @@ def test_criterion_1_partition_reproduction():
         a, b = divmod(i, 20)
         triples.append(((a, b), (a + b + 1) % 20))
     master = make_rules(triples, size=20)
-    part = partition_rules(master, 20, 1, random.Random(0))
-    overlaps = {similarity(a, b) for a, b in zip(part.worlds, part.worlds[1:])}
+    _, worlds = partition_rules(master, 20, 1, random.Random(0))
+    overlaps = {similarity(a, b) for a, b in zip(worlds, worlds[1:])}
     elapsed = time.monotonic() - started
     report(
         1,
-        len(part.worlds) == 57 and overlaps == {19} and elapsed < 1.0,
-        f"76 rules, w=20, s=1 -> {len(part.worlds)} worlds, "
+        len(worlds) == 57 and overlaps == {19} and elapsed < 1.0,
+        f"76 rules, w=20, s=1 -> {len(worlds)} worlds, "
         f"consecutive overlap {sorted(overlaps)}, {elapsed:.2f}s",
     )
 
@@ -158,16 +159,17 @@ def test_criterion_5_structural_statistics_envelope():
     picks = [suite.worlds[0], suite.worlds[len(suite.worlds) // 2], suite.worlds[-1]]
     rows = []
     for world in picks:
-        _, ds = build_world(suite, world)
+        world_rules = select_rules(suite.rules, world.rule_indices)
+        _, ds = grow_and_sample(config, world_rules, world.world_id)
         stats = compute_stats(ds)
         rows.append((world.world_id, stats))
-        assert 2.0 <= stats.avg_resolution_length <= 10.0, world.world_id
-        assert stats.num_classes <= 20, world.world_id
-        assert 3.0 <= stats.avg_nodes <= 60.0, world.world_id
-        assert 3.0 <= stats.avg_edges <= 60.0, world.world_id
+        assert 2.0 <= stats["avg_resolution_length"] <= 10.0, world.world_id
+        assert stats["num_classes"] <= 20, world.world_id
+        assert 3.0 <= stats["avg_nodes"] <= 60.0, world.world_id
+        assert 3.0 <= stats["avg_edges"] <= 60.0, world.world_id
     detail = "; ".join(
-        f"world {wid}: ARL={s.avg_resolution_length:.2f} NC={s.num_classes} "
-        f"AN={s.avg_nodes:.1f} AE={s.avg_edges:.1f}"
+        f"world {wid}: ARL={s['avg_resolution_length']:.2f} NC={s['num_classes']} "
+        f"AN={s['avg_nodes']:.1f} AE={s['avg_edges']:.1f}"
         for wid, s in rows
     )
     report(5, True, detail)

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from logicworlds.cli import main
+from logicworlds.dataset_io import compute_stats, read_world
 from logicworlds.errors import SuiteFormatError
 from logicworlds.suite import plan_suite, read_suite
 
@@ -75,6 +76,15 @@ class TestGenerate:
         bad = tmp_path / "bad.json"
         bad.write_text('{"no_such_key": 1}')
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    def test_gamma_that_decays_every_weight_to_zero_is_config_error(self, tmp_path, capsys):
+        # 1e-200 squared underflows to 0.0: a rule drawn twice in one cycle
+        # leaves a later weighted draw with nothing to choose from
+        config = tmp_path / "tiny_gamma.json"
+        config.write_text(json.dumps({**tiny_suite_config().to_dict(), "gamma": 1e-200}))
+        argv = ["generate", "--config", str(config), "--out", str(tmp_path / "s")]
+        assert main([*argv, "--workers", "1"]) == 2
+        assert re.search(r"world \d+: gamma=1e-200 decays", capsys.readouterr().err)
 
     def test_single_world_filter(self, config_file, tmp_path):
         out = tmp_path / "one"
@@ -184,6 +194,29 @@ class TestValidate:
         assert report["rules_mismatch"] == 1
         assert report["worlds"]["rule_0"]["rules_mismatch"] == 1
         assert all(w["rules_mismatch"] == 0 for n, w in report["worlds"].items() if n != "rule_0")
+
+    def test_one_relation_descriptor_fails(self, suite_dir, tmp_path, capsys):
+        # the line certifies (its one edge is its own resolution) and the
+        # stats are recomputed with it, but a descriptor needs 2 relations
+        broken = tmp_path / "short_walk"
+        shutil.copytree(suite_dir, broken)
+        r = json.loads((broken / "rule_0" / "train.jsonl").read_text().splitlines()[0])["target"]
+        line = {
+            "edges": [[0, r, 1]], "query": [0, 1], "target": r,
+            "resolution_path": [0, 1], "descriptor": [r], "world_id": 0,
+        }
+        with open(broken / "rule_0" / "test.jsonl", "a") as test_file:
+            test_file.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+        _, ds, stats_doc = read_world(broken, 0)
+        stats_doc = compute_stats(ds, stats_doc["split"])
+        (broken / "rule_0" / "stats.json").write_text(json.dumps(stats_doc))
+        rc = main(["validate", str(broken), "--world-id", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["valid"] == report["instances"]
+        assert report["stats_mismatch"] == report["split_leaks"] == 0
+        assert report["walk_len_violations"] == 1
+        assert report["worlds"]["rule_0"]["walk_len_violations"] == 1
 
     def test_world_without_instances_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "empty"

@@ -37,11 +37,11 @@ class TestComputeStats:
             max_walk_len=10,
         )
         stats = compute_stats(ds)
-        assert stats.num_classes == 1
-        assert stats.num_descriptors == 1
-        assert stats.avg_resolution_length == 2.0
-        assert stats.avg_nodes == 3.0
-        assert stats.avg_edges == 2.0
+        assert stats["num_classes"] == 1
+        assert stats["num_descriptors"] == 1
+        assert stats["avg_resolution_length"] == 2.0
+        assert stats["avg_nodes"] == 3.0
+        assert stats["avg_edges"] == 2.0
 
     def test_empty_dataset_rejected(self):
         ds = WorldDataset(
@@ -61,8 +61,8 @@ class TestComputeStats:
             max_walk_len=10,
         )
         stats = compute_stats(ds)
-        assert stats.num_classes == 2
-        assert stats.num_descriptors == 2
+        assert stats["num_classes"] == 2
+        assert stats["num_descriptors"] == 2
 
 
 class TestDifficultyBucket:

@@ -7,18 +7,22 @@ config the graph is acyclic, its closure has no edge conflict, every
 alternate walk of an edge resolves to exactly that edge's label, and
 every sampled instance certifies on its first draw. Generation raises a
 GenerationError when one of these fails, so a config the generator
-rejects (ConfigError, DegenerateWorldError) is the only allowed way out.
+rejects (ConfigError, DegenerateWorldError) is the only allowed way out,
+and a suite it writes passes ``validate``.
 """
 
-from hypothesis import given, settings
+import tempfile
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logicworlds import seeds
+from logicworlds.cli import main
 from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.resolver import resolve_descriptor, validate_instance
 from logicworlds.rules import select_rules
 from logicworlds.sampler import collect_descriptors
-from logicworlds.suite import build_world, plan_suite
+from logicworlds.suite import generate_suite_to_disk, grow_and_sample, plan_suite
 from logicworlds.worldgraph import closure_check, generate_world_graph
 
 from conftest import tiny_suite_config
@@ -26,22 +30,28 @@ from conftest import tiny_suite_config
 EXAMPLES = settings(max_examples=150, deadline=None)
 
 
+def small_configs(**strategies):
+    """Small random suite configs; keyword strategies replace or add fields."""
+    fields = dict(
+        seed=st.integers(0, 2**32 - 1),
+        num_relations=st.integers(3, 8),
+        rules_per_world=st.integers(2, 8),
+        stride=st.integers(1, 4),
+        node_pool=st.integers(20, 150),
+        max_walk_len=st.integers(2, 6),
+        graphs_per_split=st.just((4, 2, 2)),
+        # world splits play no part here; every plan may have one world
+        valid_worlds=st.just(0),
+        test_worlds=st.just(0),
+    )
+    return st.builds(tiny_suite_config, **{**fields, **strategies})
+
+
 @st.composite
 def planned_worlds(draw):
     """(suite plan, one of its worlds) for a small random config, or None."""
-    config = tiny_suite_config(
-        seed=draw(st.integers(0, 2**32 - 1)),
-        num_relations=draw(st.integers(3, 8)),
-        rules_per_world=draw(st.integers(2, 8)),
-        stride=draw(st.integers(1, 4)),
-        node_pool=draw(st.integers(20, 150)),
-        max_walk_len=draw(st.integers(2, 6)),
-        graphs_per_split=(4, 2, 2),
-        valid_worlds=0,  # world splits play no part here; every plan may have one world
-        test_worlds=0,
-    )
     try:
-        suite = plan_suite(config)
+        suite = plan_suite(draw(small_configs()))
     except ConfigError:
         return None
     return suite, draw(st.sampled_from(suite.worlds))
@@ -54,7 +64,7 @@ def grown(planned):
     suite, world = planned
     config = suite.config
     rng = seeds.rng_for(config.seed, seeds.TAG_WORLDGRAPH, world.world_id)
-    world_rules = select_rules(suite.rules, list(world.rule_indices))
+    world_rules = select_rules(suite.rules, world.rule_indices)
     try:
         graph = generate_world_graph(world_rules, config.gen, rng, world.world_id)
     except DegenerateWorldError:
@@ -115,9 +125,29 @@ def test_every_instance_certifies_on_its_first_draw(planned):
     if planned is None:
         return
     suite, world = planned
+    world_rules = select_rules(suite.rules, world.rule_indices)
     try:
-        _, dataset = build_world(suite, world)
+        _, dataset = grow_and_sample(suite.config, world_rules, world.world_id)
     except DegenerateWorldError:
         return
     for inst in dataset.all_instances():
         assert validate_instance(dataset.rules, inst).is_valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # few master rules and a wide stride keep each suite to a few worlds
+    small_configs(
+        num_relations=st.integers(3, 6),
+        stride=st.integers(2, 8),
+        gamma=st.floats(min_value=1e-300, max_value=1.0),
+    )
+)
+@example(tiny_suite_config(gamma=1e-200))  # every rule weight underflows to 0
+def test_a_small_suite_validates_or_its_config_is_rejected(config):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            generate_suite_to_disk(plan_suite(config), out)
+        except (ConfigError, DegenerateWorldError):
+            return
+        assert main(["validate", out, "--workers", "1"]) == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from logicworlds.errors import ConfigError
+from logicworlds.rules import select_rules
 from logicworlds.partition import (
     WorldSpec,
     order_curriculum,
@@ -26,17 +27,17 @@ def n_dummy_rules(n: int, k: int = 40):
 
 class TestPartitionRules:
     def test_76_rules_w20_s1_gives_57_worlds(self, rng):
-        part = partition_rules(n_dummy_rules(76), 20, 1, rng)
-        assert len(part.worlds) == 57
+        _, worlds = partition_rules(n_dummy_rules(76), 20, 1, rng)
+        assert len(worlds) == 57
 
     def test_single_full_window(self, rng):
-        part = partition_rules(n_dummy_rules(5), 5, 1, rng)
-        assert len(part.worlds) == 1
-        assert part.worlds[0].rule_indices == tuple(range(5))
+        _, worlds = partition_rules(n_dummy_rules(5), 5, 1, rng)
+        assert len(worlds) == 1
+        assert worlds[0].rule_indices == tuple(range(5))
 
     def test_stride_two_windows(self, rng):
-        part = partition_rules(n_dummy_rules(10), 4, 2, rng)
-        starts = [w.rule_indices[0] for w in part.worlds]
+        _, worlds = partition_rules(n_dummy_rules(10), 4, 2, rng)
+        starts = [w.rule_indices[0] for w in worlds]
         assert starts == [0, 2, 4, 6]
 
     def test_world_count_formula(self):
@@ -45,24 +46,24 @@ class TestPartitionRules:
             n = local.randrange(1, 60)
             w = local.randrange(1, n + 1)
             s = local.randrange(1, 8)
-            part = partition_rules(n_dummy_rules(n), w, s, random.Random(1))
-            assert len(part.worlds) == (n - w) // s + 1
+            _, worlds = partition_rules(n_dummy_rules(n), w, s, random.Random(1))
+            assert len(worlds) == (n - w) // s + 1
 
     def test_windows_are_consecutive_index_ranges(self, rng):
-        part = partition_rules(n_dummy_rules(30), 7, 3, rng)
-        for world in part.worlds:
+        rules, worlds = partition_rules(n_dummy_rules(30), 7, 3, rng)
+        for world in worlds:
             idx = world.rule_indices
             assert idx == tuple(range(idx[0], idx[0] + 7))
-            assert len(part.world_rules(world).rules) == 7
+            assert len(select_rules(rules, world.rule_indices).rules) == 7
 
     def test_permutation_is_seeded(self):
         rules = n_dummy_rules(30)
-        a = partition_rules(rules, 5, 5, random.Random(1))
-        b = partition_rules(rules, 5, 5, random.Random(1))
-        c = partition_rules(rules, 5, 5, random.Random(2))
-        assert a.rules.rules == b.rules.rules
-        assert a.rules.rules != c.rules.rules
-        assert sorted(a.rules.rules, key=repr) == sorted(c.rules.rules, key=repr)
+        a, _ = partition_rules(rules, 5, 5, random.Random(1))
+        b, _ = partition_rules(rules, 5, 5, random.Random(1))
+        c, _ = partition_rules(rules, 5, 5, random.Random(2))
+        assert a.rules == b.rules
+        assert a.rules != c.rules
+        assert sorted(a.rules, key=repr) == sorted(c.rules, key=repr)
 
     def test_invalid_configurations(self, rng):
         with pytest.raises(ConfigError):
@@ -80,29 +81,28 @@ class TestSimilarity:
         assert similarity(WorldSpec(0, (0, 1)), WorldSpec(1, (5, 6))) == 0
 
     def test_consecutive_stride1_windows_overlap_19(self, rng):
-        part = partition_rules(n_dummy_rules(76), 20, 1, rng)
-        for a, b in zip(part.worlds, part.worlds[1:]):
+        _, worlds = partition_rules(n_dummy_rules(76), 20, 1, rng)
+        for a, b in zip(worlds, worlds[1:]):
             assert similarity(a, b) == 19
 
     def test_window_overlap_formula(self, rng):
         w, s = 6, 2
-        part = partition_rules(n_dummy_rules(40), w, s, rng)
-        for a in part.worlds:
-            for b in part.worlds:
+        _, worlds = partition_rules(n_dummy_rules(40), w, s, rng)
+        for a in worlds:
+            for b in worlds:
                 expected = max(0, w - s * abs(a.world_id - b.world_id))
                 assert similarity(a, b) == expected
 
     def test_matrix_symmetric_with_w_diagonal(self, rng):
-        part = partition_rules(n_dummy_rules(25), 8, 4, rng)
-        mat = similarity_matrix(part.worlds)
+        _, worlds = partition_rules(n_dummy_rules(25), 8, 4, rng)
+        mat = similarity_matrix(worlds)
         assert mat == [list(column) for column in zip(*mat)]
-        assert [row[i] for i, row in enumerate(mat)] == [8] * len(part.worlds)
+        assert [row[i] for i, row in enumerate(mat)] == [8] * len(worlds)
 
 
 class TestSelectWorlds:
     def setup_method(self):
-        self.part = partition_rules(n_dummy_rules(30), 10, 2, random.Random(3))
-        self.worlds = self.part.worlds
+        _, self.worlds = partition_rules(n_dummy_rules(30), 10, 2, random.Random(3))
 
     def test_full_pool_is_permutation(self):
         target = self.worlds[0]

@@ -372,16 +372,19 @@ class TestGenConfig:
 class TestIncrementalGrowth:
     @settings(max_examples=150, deadline=None)
     @given(rules=growth_rule_sets(), cfg=growth_configs, seed=st.integers(0, 2**64))
+    @example(rules=make_rules([((0, 1), 2)]), cfg=GenConfig(gamma=1e-200), seed=0)
     def test_growth_equals_rescanning_reference(self, rules, cfg, seed):
         # generate_world_graph grows from one sub-seed drawn from its rng
         sub_seed = random.Random(seed).getrandbits(64)
         try:
             ref = reference_expand(rules, cfg, random.Random(sub_seed))
         except ValueError as exc:
-            # under a tiny gamma every rule weight can underflow to 0, and
-            # the weighted draw fails: it must fail the same way
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                generate_world_graph(rules, cfg, random.Random(seed))
+            # under a tiny gamma every weight of a draw can underflow to 0:
+            # the reference's draw fails, the generator names world and gamma
+            assert str(exc) == "Total of weights must be greater than zero"
+            message = f"world 7: gamma={cfg.gamma} decays every rule weight to 0"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                generate_world_graph(rules, cfg, random.Random(seed), world_id=7)
             return
         graph = generate_world_graph(rules, cfg, random.Random(seed))
         assert list(graph.edges.items()) == list(ref.edges.items())
