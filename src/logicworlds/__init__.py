@@ -29,7 +29,6 @@ from .partition import (
 )
 from .resolver import (
     ValidationReport,
-    brute_force_resolve,
     resolve_descriptor,
     symbolic_baseline_solve,
     validate_instance,

@@ -150,17 +150,27 @@ VALIDATE_COUNTS = (
 )
 
 
-def validate_world(path: Path, wid: int, split: str, rules: RuleSet) -> dict[str, int]:
+def validate_world(
+    path: Path, wid: int, split: str, rules: RuleSet, max_walk_len: int
+) -> dict[str, int]:
     """Certify one world: every instance, that each descriptor has 2 to
     ``max_walk_len`` relations, that no descriptor is shared between its
     train, valid and test splits (the inductive split), that its stored
     stats equal the ones recomputed from its instances under the
     manifest's ``split``, and that its ``rules.json`` holds ``rules``, the
-    manifest's slice of the master rules."""
+    manifest's slice of the master rules. ``split``, ``rules`` and
+    ``max_walk_len`` come from the manifest; a ``stats.json`` whose
+    ``max_walk_len`` differs is a SuiteFormatError naming it."""
     _, ds, stats_doc = read_world(path, wid)
+    world_path = path / world_dir_name(wid)
+    if ds.max_walk_len != max_walk_len:
+        raise SuiteFormatError(
+            f"{world_path / 'stats.json'}: max_walk_len {ds.max_walk_len!r} is not "
+            f"the manifest's {max_walk_len}"
+        )
     instances = ds.all_instances()
     if not instances:
-        raise SuiteFormatError(f"{path / world_dir_name(wid)}: world has no instances")
+        raise SuiteFormatError(f"{world_path}: world has no instances")
     counts = dict.fromkeys(VALIDATE_COUNTS, 0)
     for inst in instances:
         report = validate_instance(ds.rules, inst)
@@ -188,7 +198,7 @@ def solve_world(path: Path, wid: int) -> float | None:
 
 
 def cmd_validate(args) -> int:
-    suite = read_plan(args.suite)
+    suite = read_plan(args.suite, check_derived=True)
     worlds = select_worlds(suite, _only(args))
     tasks = [
         (
@@ -196,6 +206,7 @@ def cmd_validate(args) -> int:
             w.world_id,
             suite.world_splits[w.world_id],
             select_rules(suite.rules, w.rule_indices),
+            suite.config.gen.max_walk_len,
         )
         for w in worlds
     ]

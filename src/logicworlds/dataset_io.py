@@ -14,7 +14,9 @@ config and seed):
 Instance lines follow the schema
 ``{"edges": [[u, r, v], ...], "query": [u, v], "target": r,
 "resolution_path": [...], "descriptor": [...], "world_id": n}``
-with node ids dense per instance.
+with node ids dense per instance. One formatter,
+:func:`instance_to_json`, writes each line as the compact, key-sorted
+text ``json.dumps`` would give, without building the document first.
 """
 
 from __future__ import annotations
@@ -158,15 +160,17 @@ def world_dir_name(world_id: int) -> str:
     return f"rule_{world_id}"
 
 
-def instance_to_dict(inst: Instance, world_id: int) -> dict:
-    return {
-        "edges": [[u, r, v] for u, r, v in inst.edges],
-        "query": [inst.source, inst.sink],
-        "target": inst.target,
-        "resolution_path": list(inst.resolution_path),
-        "descriptor": list(inst.descriptor),
-        "world_id": world_id,
-    }
+def instance_to_json(inst: Instance, world_id: int) -> str:
+    """One instance line: the text of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` for the instance schema, formatted directly
+    (a test pins the two equal)."""
+    edges = ",".join([f"[{u},{r},{v}]" for u, r, v in inst.edges])
+    return (
+        f'{{"descriptor":[{",".join(map(str, inst.descriptor))}],"edges":[{edges}],'
+        f'"query":[{inst.source},{inst.sink}],'
+        f'"resolution_path":[{",".join(map(str, inst.resolution_path))}],'
+        f'"target":{inst.target},"world_id":{world_id}}}'
+    )
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -193,12 +197,7 @@ def write_world(
     _dump_json(tmp / "rules.json", ruleset_to_dict(ds.rules))
     (tmp / "world_graph.json").write_text(worldgraph_to_json(graph) + "\n")
     for split in SPLIT_NAMES:
-        lines = [
-            json.dumps(
-                instance_to_dict(inst, world_id), sort_keys=True, separators=(",", ":")
-            )
-            for inst in ds.instances[split]
-        ]
+        lines = [instance_to_json(inst, world_id) for inst in ds.instances[split]]
         (tmp / f"{split}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
     _dump_json(tmp / "stats.json", compute_stats(ds, world_split))
     if final.exists():
@@ -298,7 +297,7 @@ __all__ = [
     "difficulty_bucket",
     "extend_graph",
     "instance_from_dict",
-    "instance_to_dict",
+    "instance_to_json",
     "read_manifest",
     "read_world",
     "world_dir_name",

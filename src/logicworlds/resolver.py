@@ -5,9 +5,7 @@ its labels under some binary bracketing. :func:`resolve_descriptor`
 computes that set with the program's one rule engine, the closure
 fixpoint of :mod:`.worldgraph`, run over the descriptor as a path graph
 and memoized per world rule set (each distinct label tuple is resolved
-once per :class:`RuleSet`); :func:`brute_force_resolve` recomputes it by
-enumerating every bracketing explicitly and exists only to cross-check
-the engine.
+once per :class:`RuleSet`).
 
 Instance graphs are validated against the four soundness conditions a
 query must satisfy (target resolvable and unambiguous, descriptor/path
@@ -16,28 +14,28 @@ recomputes every check from the instance alone, taking nothing from the
 sampler. :func:`symbolic_baseline_solve` is the perfect-accuracy
 reference solver used as the in-repo baseline.
 
-Both walk an instance the same way: one pass over its edges builds the
-sorted successor lists and the predecessor lists
-(:func:`instance_adjacency`), one reverse BFS over the latter gives every
-node's distance to the sink, and an iterative depth-first walk over the
-former enumerates simple paths, pruned by that table.
+Both build an instance's successor and predecessor lists in one pass
+over its edges and take every node's distance to the sink from one
+reverse BFS. When the source lies exactly |descriptor| hops from the
+sink, certification walks only the paths whose distance drops by one
+per step: those are all simple paths of that length. A greater or
+missing distance leaves no such path; a smaller one (a shortcut) falls
+back to :func:`iter_simple_path_labels`, the depth-first walk of simple
+paths pruned by the distance table, which the solver uses throughout.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
-from .rules import RelationId, RuleSet, compose
+from .rules import RelationId, RuleSet
 from .worldgraph import derive_closure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampler import Instance, WorldDataset
-
-BRUTE_FORCE_MAX_LEN = 12  # Catalan(11) = 58786 bracketings; enough for an oracle
 
 
 @dataclass(frozen=True)
@@ -84,53 +82,6 @@ def resolve_descriptor(
     return resolved
 
 
-@lru_cache(maxsize=None)
-def _tree_shapes(n: int) -> tuple:
-    """All full binary tree shapes over n leaves; None marks a leaf."""
-    if n == 1:
-        return (None,)
-    shapes = []
-    for split in range(1, n):
-        for left in _tree_shapes(split):
-            for right in _tree_shapes(n - split):
-                shapes.append((split, left, right))
-    return tuple(shapes)
-
-
-def _fold(shape, labels: Sequence[RelationId], offset: int, rules: RuleSet):
-    if shape is None:
-        return labels[offset]
-    split, left, right = shape
-    a = _fold(left, labels, offset, rules)
-    if a is None:
-        return None
-    b = _fold(right, labels, offset + split, rules)
-    if b is None:
-        return None
-    return compose(rules, a, b)
-
-
-def brute_force_resolve(
-    rules: RuleSet, labels: Sequence[RelationId]
-) -> frozenset[RelationId]:
-    """Union over every binary bracketing, folded one tree at a time.
-
-    Deliberately naive; guards at length 12 where the bracketing count
-    becomes unreasonable for an oracle.
-    """
-    n = len(labels)
-    if n < 1:
-        raise ConfigError("descriptor must contain at least one label")
-    if n > BRUTE_FORCE_MAX_LEN:
-        raise ConfigError(f"brute force refused beyond length {BRUTE_FORCE_MAX_LEN}")
-    results = set()
-    for shape in _tree_shapes(n):
-        value = _fold(shape, labels, 0, rules)
-        if value is not None:
-            results.add(value)
-    return frozenset(results)
-
-
 def instance_adjacency(
     edges: Iterable[tuple[int, RelationId, int]]
 ) -> tuple[dict[int, list[tuple[int, RelationId]]], dict[int, list[int]]]:
@@ -148,11 +99,6 @@ def instance_adjacency(
     for nbrs in out.values():
         nbrs.sort()
     return out, rev
-
-
-def shortest_distance(rev: dict[int, list[int]], source: int, sink: int) -> int | None:
-    """Directed hop count over predecessor lists ``rev``, None when unreachable."""
-    return _distances_to(rev, sink).get(source)
 
 
 def _distances_to(rev: dict[int, list[int]], sink: int) -> dict[int, int]:
@@ -216,6 +162,36 @@ def iter_simple_path_labels(
                 visited.remove(path.pop())
 
 
+def _layered_path_labels(
+    succ: dict[int, list[tuple[int, RelationId]]],
+    source: int,
+    n: int,
+    to_sink: dict[int, int],
+) -> Iterator[tuple[RelationId, ...]]:
+    """Label sequences of the source->sink paths of ``n`` edges, given
+    ``to_sink[source] == n``: an edge lowers the distance by at most one,
+    so they are the walks whose distance drops by one at each step, simple
+    without a visited set.
+    """
+    labels: list[RelationId] = []
+    stack = [iter(succ.get(source, ()))]
+    while stack:
+        want = n - len(labels) - 1  # the next node's distance to the sink
+        for v, r in stack[-1]:
+            if to_sink.get(v) != want:
+                continue
+            if want == 0:
+                yield (*labels, r)
+                continue
+            labels.append(r)
+            stack.append(iter(succ.get(v, ())))
+            break
+        else:
+            stack.pop()
+            if labels:
+                labels.pop()
+
+
 def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
     """Run all soundness checks for one query instance.
 
@@ -223,18 +199,21 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
     descriptor) yields an all-failing report rather than an error.
     """
     if not inst.descriptor:
-        return ValidationReport(
-            resolved=frozenset(),
-            target_hit=False,
-            ambiguous=False,
-            shortcut_free=False,
-            path_consistent=False,
-        )
+        return ValidationReport(frozenset(), False, False, False, False)
     resolved = resolve_descriptor(rules, inst.descriptor)
     target_hit = inst.target in resolved
     ambiguous = len(resolved) > 1
 
-    edge_labels = {(u, v): r for u, r, v in inst.edges}
+    # one pass: successor and predecessor lists, and the (u, v) -> label
+    # map of the path check (a repeated pair keeps its last label)
+    succ: dict[int, list[tuple[int, RelationId]]] = {}
+    pred: dict[int, list[int]] = {}
+    edge_labels: dict[tuple[int, int], RelationId] = {}
+    for u, r, v in inst.edges:
+        succ.setdefault(u, []).append((v, r))
+        pred.setdefault(v, []).append(u)
+        edge_labels[(u, v)] = r
+
     path_labels = []
     matches = len(inst.resolution_path) == len(inst.descriptor) + 1
     if matches:
@@ -246,17 +225,23 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
             path_labels.append(r)
         matches = matches and tuple(path_labels) == tuple(inst.descriptor)
 
-    adj, rev = instance_adjacency(inst.edges)
-    to_sink = _distances_to(rev, inst.sink)
+    to_sink = _distances_to(pred, inst.sink)
     n = len(inst.descriptor)
-    shortcut_free = to_sink.get(inst.source) == n
+    distance = to_sink.get(inst.source)
+    shortcut_free = distance == n
 
     path_consistent = matches
-    if path_consistent:
-        for labels in iter_simple_path_labels(
-            adj, inst.source, inst.sink, n, exact_len=n, to_sink=to_sink
-        ):
-            if not resolve_descriptor(rules, labels) <= {inst.target}:
+    # no simple path of n edges exists when the distance exceeds n
+    if path_consistent and distance is not None and distance <= n:
+        if shortcut_free:
+            paths = _layered_path_labels(succ, inst.source, n, to_sink)
+        else:
+            paths = iter_simple_path_labels(
+                succ, inst.source, inst.sink, n, exact_len=n, to_sink=to_sink
+            )
+        allowed = {inst.target}
+        for labels in paths:
+            if not resolve_descriptor(rules, labels) <= allowed:
                 path_consistent = False
                 break
 

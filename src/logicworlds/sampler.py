@@ -240,15 +240,15 @@ def sample_instance(
     noise_order: list[tuple[NodeId, NodeId]] = []
     probabilities = [cfg.noise_gamma**depth for depth in range(1, cfg.noise_depth + 1)]
 
+    draw = rng.random
+    incident = adjacency.get
     for anchor in path:
         frontier = [anchor]
         for p in probabilities:
             next_frontier: list[NodeId] = []
             for node in frontier:
-                for key, r, far in adjacency.get(node, ()):
-                    if key in edges:
-                        continue
-                    if rng.random() < p:
+                for key, r, far in incident(node, ()):
+                    if key not in edges and draw() < p:
                         edges[key] = r
                         noise_order.append(key)
                         next_frontier.append(far)
@@ -256,24 +256,25 @@ def sample_instance(
 
     # the direct edge can only have entered as noise: the resolution
     # path has length >= 2, so (source, sink) is never one of its edges
-    if (source, sink) in edges:
-        edges.pop((source, sink))
-        noise_order.remove((source, sink))
+    edges.pop((source, sink), None)
 
     _remove_shortcuts(edges, noise_order, source, sink, len(pair.descriptor))
 
-    final_edges = [(a, edges[(a, b)], b) for a, b in zip(path, path[1:])]
-    final_edges.extend((u, edges[(u, v)], v) for u, v in noise_order if (u, v) in edges)
-
+    # path nodes first, then noise edges' nodes as the edges are listed
     renumber: dict[NodeId, int] = {}
     for node in path:
         renumber.setdefault(node, len(renumber))
-    for u, _, v in final_edges:
-        renumber.setdefault(u, len(renumber))
-        renumber.setdefault(v, len(renumber))
+    final_edges = [(renumber[a], edges[(a, b)], renumber[b]) for a, b in zip(path, path[1:])]
+    for key in noise_order:
+        r = edges.get(key)
+        if r is not None:
+            u, v = key
+            final_edges.append(
+                (renumber.setdefault(u, len(renumber)), r, renumber.setdefault(v, len(renumber)))
+            )
 
     return Instance(
-        edges=tuple((renumber[u], r, renumber[v]) for u, r, v in final_edges),
+        edges=tuple(final_edges),
         source=renumber[source],
         sink=renumber[sink],
         target=target,
@@ -305,52 +306,45 @@ def _remove_shortcuts(
     sink: NodeId,
     resolution_len: int,
 ) -> None:
-    """Delete newest offending noise edge until distance(u, v) = |descriptor|."""
-    insertion = {key: i for i, key in enumerate(noise_order)}
+    """Delete newest offending noise edge until distance(u, v) = |descriptor|.
+
+    Each round's BFS stops after ``resolution_len - 1`` levels; within them
+    it visits nodes as an unbounded one does, so it finds the same path.
+    """
     # one sorted out-adjacency serves every BFS; deletions are mirrored in it
     out: dict[NodeId, list[NodeId]] = {}
-    for u, v in edges:
+    for u, v in sorted(edges):
         out.setdefault(u, []).append(v)
-    for nbrs in out.values():
-        nbrs.sort()
+    successors = out.get
+    insertion: dict[tuple[NodeId, NodeId], int] | None = None
     while True:
-        path = _shortest_path(out, source, sink, resolution_len - 1)
-        if path is None:
+        parent = {source: source}
+        frontier = [source]
+        for _ in range(resolution_len - 1):
+            next_frontier: list[NodeId] = []
+            for node in frontier:
+                for v in successors(node, ()):
+                    if v not in parent:
+                        parent[v] = node
+                        next_frontier.append(v)
+                if sink in parent:
+                    break
+            if sink in parent or not next_frontier:
+                break
+            frontier = next_frontier
+        if sink not in parent:
             return
-        offending = [
-            (a, b) for a, b in zip(path, path[1:]) if (a, b) in insertion
-        ]
+        if insertion is None:
+            insertion = {key: i for i, key in enumerate(noise_order)}
         # only noise edges are deleted, so the resolution path survives
-        assert offending, "a shorter path cannot consist of resolution edges only"
-        newest = max(offending, key=insertion.__getitem__)
-        del edges[newest]
-        out[newest[0]].remove(newest[1])
-
-
-def _shortest_path(
-    out: dict[NodeId, list[NodeId]], source: NodeId, sink: NodeId, max_hops: int
-) -> list[NodeId] | None:
-    """First BFS path of at most ``max_hops`` edges, None when there is none.
-
-    The BFS stops after ``max_hops`` levels; within them it visits nodes
-    in the same order as an unbounded one, so it finds the same path.
-    """
-    parent = {source: source}
-    frontier = [source]
-    for _ in range(max_hops):
-        next_frontier: list[NodeId] = []
-        for node in frontier:
-            for v in out.get(node, ()):
-                if v not in parent:
-                    parent[v] = node
-                    if v == sink:
-                        path = [v]
-                        while path[-1] != source:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return None
+        newest, v = -1, sink
+        while v != source:
+            newest = max(newest, insertion.get((parent[v], v), -1))
+            v = parent[v]
+        assert newest >= 0, "a shorter path cannot consist of resolution edges only"
+        u, v = noise_order[newest]
+        del edges[(u, v)]
+        out[u].remove(v)
 
 
 def usable_pairs(

@@ -9,6 +9,7 @@ sub-seeds, so they can be built in any order or in parallel.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import TypeVar
 from . import seeds
 from .config import SuiteConfig, config_from_dict
 from .dataset_io import _parse, read_manifest, read_world, write_manifest, write_world
-from .errors import ConfigError
+from .errors import ConfigError, SuiteFormatError
 from .partition import WorldSpec, partition_rules, similarity_matrix
 from .rules import (
     RuleSet,
@@ -144,15 +145,26 @@ def protocol_orderings(suite: Suite) -> dict:
     }
 
 
-def read_plan(path: str | Path) -> Suite:
+def read_plan(path: str | Path, check_derived: bool = False) -> Suite:
     """Parse a suite's ``manifest.json`` into its plan; load no world.
 
     The one manifest parser: config, master rules, worlds and their
     splits. A malformed field is a SuiteFormatError naming the manifest.
+    With ``check_derived``, so is a ``similarity`` or ``protocols`` field
+    that differs from the one recomputed from the manifest's worlds.
     """
-    root = Path(path)
-    manifest = read_manifest(root)
-    return _parse(root / "manifest.json", _plan_from_manifest, manifest)
+    file = Path(path) / "manifest.json"
+    manifest = read_manifest(file.parent)
+    suite = _parse(file, _plan_from_manifest, manifest)
+    if check_derived:
+        for key, derived in (
+            ("similarity", similarity_matrix(suite.worlds)),
+            ("protocols", protocol_orderings(suite)),
+        ):
+            # compared as JSON text, so 6.0 or true does not pass for 6 or 1
+            if json.dumps(manifest[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
+                raise SuiteFormatError(f"{file}: {key} is not the one its worlds give")
+    return suite
 
 
 def _plan_from_manifest(manifest: dict) -> Suite:

@@ -18,7 +18,7 @@ from logicworlds.cli import main
 from logicworlds.config import SuiteConfig
 from logicworlds.dataset_io import Difficulty, compute_stats, difficulty_bucket, extend_graph
 from logicworlds.partition import partition_rules, similarity
-from logicworlds.resolver import brute_force_resolve, resolve_descriptor
+from logicworlds.resolver import resolve_descriptor
 from logicworlds.rules import (
     check_consistency,
     generate_alphabet,
@@ -31,6 +31,7 @@ from logicworlds.suite import generate_suite, grow_and_sample, plan_suite
 from logicworlds.worldgraph import GenConfig
 
 from conftest import make_rules, tiny_suite_config
+from oracles import brute_force_resolve
 
 REDUCED_SEED = 2026
 

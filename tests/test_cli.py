@@ -293,6 +293,43 @@ class TestValidate:
         with pytest.raises(SuiteFormatError, match=re.escape(f"{manifest_file}:")):
             read_suite(broken)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: doc["similarity"][0].__setitem__(1, doc["similarity"][0][1] + 1),
+            lambda doc: doc["protocols"]["continual"].reverse(),
+            lambda doc: doc["similarity"][0].__setitem__(0, float(doc["similarity"][0][0])),
+        ],
+        ids=["similarity", "protocols", "similarity_as_float"],
+    )
+    def test_manifest_not_derived_from_its_worlds_is_format_error(
+        self, suite_dir, tmp_path, capsys, tamper
+    ):
+        broken = tmp_path / "derived"
+        shutil.copytree(suite_dir, broken)
+        manifest_file = broken / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        tamper(manifest)
+        manifest_file.write_text(json.dumps(manifest))
+        rc = main(["validate", str(broken)])
+        assert rc == 2
+        assert f"{manifest_file}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_walk_len", [3, 2])
+    def test_stats_max_walk_len_other_than_manifest_is_format_error(
+        self, suite_dir, tmp_path, capsys, max_walk_len
+    ):
+        broken = tmp_path / "walk_len"
+        shutil.copytree(suite_dir, broken)
+        stats_file = broken / "rule_0" / "stats.json"
+        doc = json.loads(stats_file.read_text())
+        assert doc["max_walk_len"] != max_walk_len
+        doc["max_walk_len"] = max_walk_len
+        stats_file.write_text(json.dumps(doc))
+        rc = main(["validate", str(broken), "--world-id", "0"])
+        assert rc == 2
+        assert f"{stats_file}: max_walk_len" in capsys.readouterr().err
+
     def test_manifest_world_without_split_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "no_split"
         shutil.copytree(suite_dir, broken)

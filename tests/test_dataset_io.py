@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logicworlds.dataset_io import (
     Difficulty,
@@ -9,13 +12,14 @@ from logicworlds.dataset_io import (
     difficulty_bucket,
     extend_graph,
     instance_from_dict,
-    instance_to_dict,
+    instance_to_json,
 )
 from logicworlds.errors import ConfigError, SuiteFormatError
 from logicworlds.sampler import Instance, WorldDataset
 from logicworlds.suite import generate_suite, generate_suite_to_disk, plan_suite, read_suite
 
 from conftest import tiny_suite_config
+from oracles import instance_to_dict
 
 
 def one_instance(descriptor=(0, 2), target=3):
@@ -149,6 +153,28 @@ class TestInstanceSerialization:
         }
         assert doc["query"] == [0, 2]
         assert instance_from_dict(doc) == inst
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            Instance,
+            edges=st.lists(st.tuples(st.integers(), st.integers(), st.integers())).map(tuple),
+            source=st.integers(),
+            sink=st.integers(),
+            target=st.integers(),
+            resolution_path=st.lists(st.integers()).map(tuple),
+            descriptor=st.lists(st.integers()).map(tuple),
+        ),
+        st.integers(),
+    )
+    @example(one_instance(), 0)
+    @example(dataclasses.replace(one_instance(), edges=(), descriptor=()), -1)
+    @example(dataclasses.replace(one_instance(), edges=((-(2**70), 3, 2**64),)), 10**30)
+    def test_line_formatter_equals_json_dumps(self, inst, world_id):
+        expected = json.dumps(
+            instance_to_dict(inst, world_id), sort_keys=True, separators=(",", ":")
+        )
+        assert instance_to_json(inst, world_id) == expected
 
 
 @pytest.fixture(scope="module")

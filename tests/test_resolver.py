@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from logicworlds.errors import ConfigError
 from logicworlds.resolver import (
     _distances_to,
-    brute_force_resolve,
     instance_adjacency,
     iter_simple_path_labels,
     resolve_descriptor,
-    shortest_distance,
     symbolic_baseline_solve,
     validate_instance,
 )
@@ -22,6 +20,7 @@ from logicworlds.sampler import Instance, WorldDataset
 from logicworlds.worldgraph import derive_closure
 
 from conftest import make_rules
+from oracles import brute_force_resolve, reference_validate_instance, shortest_distance
 
 
 class TestResolveDescriptor:
@@ -237,6 +236,101 @@ class TestValidateInstance:
         report = validate_instance(rules, inst)
         assert report.ambiguous
         assert not report.is_valid
+
+
+@st.composite
+def certification_cases(draw):
+    """A rule table and an instance that may break any certification check.
+
+    Node ids are drawn from a sparse pool (negative and large ids, not
+    dense). The resolution path may revisit nodes (cycles). Detours
+    between two path nodes add routes as long as the path span they
+    replace, or shorter ones where they reuse nodes (shortcuts); extra
+    edges may be self-loops or second labels on a pair already used. The
+    query, descriptor and target are sometimes redrawn at random, so the
+    sink may be unreachable, too far, or the source itself.
+    """
+    k = draw(st.integers(2, 4))
+    label = st.integers(0, k - 1)
+    # a dense, unchecked composition table: most label sequences resolve,
+    # some ambiguously, so alternative paths often disagree
+    table = [((a, b), draw(st.none() | label)) for a in range(k) for b in range(k)]
+    rules = make_rules([(body, head) for body, head in table if head is not None], size=k)
+    pool = draw(st.lists(st.integers(-50, 10**6), min_size=3, max_size=10, unique=True))
+    node = st.sampled_from(pool)
+    path = draw(st.lists(node, min_size=3, max_size=6, unique=draw(st.booleans())))
+    descriptor = tuple(draw(label) for _ in path[1:])
+    edges = [(u, r, v) for (u, v), r in zip(zip(path, path[1:]), descriptor)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(path) - 2))
+        j = draw(st.integers(i + 1, len(path) - 1))
+        route = [path[i], *(draw(node) for _ in range(i + 1, j)), path[j]]
+        edges += [(u, draw(label), v) for u, v in zip(route, route[1:])]
+    edges += draw(st.lists(st.tuples(node, label, node), max_size=3))
+    edges += [(u, draw(label), v) for u, _, v in draw(st.lists(st.sampled_from(edges), max_size=2))]
+    edges = draw(st.permutations(edges))
+    source, sink = path[0], path[-1]
+    redraw = draw(st.sampled_from(["nothing", "query", "descriptor"]))
+    if redraw == "query":
+        source, sink = draw(node), draw(node)
+    elif redraw == "descriptor":
+        descriptor = tuple(draw(st.lists(label, min_size=1, max_size=3)))
+    resolved = sorted(resolve_descriptor(rules, descriptor))
+    target = draw(st.sampled_from(resolved) if resolved and draw(st.booleans()) else label)
+    inst = Instance(
+        edges=tuple(edges),
+        source=source,
+        sink=sink,
+        target=target,
+        resolution_path=tuple(path),
+        descriptor=descriptor,
+    )
+    return rules, inst
+
+
+class TestValidateInstanceReference:
+    @settings(max_examples=500, deadline=None)
+    @given(certification_cases())
+    @example((CHAIN_RULES, dataclasses.replace(chain_instance(), descriptor=())))
+    def test_layered_walk_reports_as_all_simple_paths(self, case):
+        rules, inst = case
+        assert validate_instance(rules, inst) == reference_validate_instance(rules, inst)
+
+    def test_cases_reach_every_branch(self):
+        # the layered walk, the fallback walk and the no-path case each
+        # decide some of a fixed sample of the strategy's cases
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(certification_cases())
+        def classify(case):
+            rules, inst = case
+            _, rev = instance_adjacency(inst.edges)
+            distance = _distances_to(rev, inst.sink).get(inst.source)
+            n = len(inst.descriptor)
+            report = validate_instance(rules, inst)
+            if distance is None:
+                seen.add("unreachable")
+            elif distance > n:
+                seen.add("longer")
+            elif distance < n:
+                seen.add("shortcut")
+            elif report.path_consistent:
+                seen.add("layered consistent")
+            else:
+                seen.add("layered inconsistent")
+            if inst.source == inst.sink:
+                seen.add("source is sink")
+            if any(u == v for u, _, v in inst.edges):
+                seen.add("self-loop")
+            if len({(u, v) for u, _, v in inst.edges}) < len(set(inst.edges)):
+                seen.add("pair with two labels")
+
+        classify()
+        assert seen == {
+            "unreachable", "longer", "shortcut", "layered consistent",
+            "layered inconsistent", "source is sink", "self-loop", "pair with two labels",
+        }
 
 
 def single_world_dataset(instances) -> WorldDataset:

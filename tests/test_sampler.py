@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
-from logicworlds.resolver import (
-    instance_adjacency,
-    resolve_descriptor,
-    shortest_distance,
-    validate_instance,
-)
+from logicworlds.resolver import instance_adjacency, resolve_descriptor, validate_instance
 from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.sampler import (
     SPLIT_NAMES,
@@ -22,6 +17,8 @@ from logicworlds.sampler import (
     split_descriptors,
 )
 from logicworlds.worldgraph import GenConfig, WorldGraph, generate_world_graph
+
+from oracles import shortest_distance
 
 
 def chain_graph():
