@@ -87,18 +87,16 @@ def instance_adjacency(
 ) -> tuple[dict[int, list[tuple[int, RelationId]]], dict[int, list[int]]]:
     """Successor and predecessor lists of an instance, in one pass over its edges.
 
-    Successor lists are sorted by (node, label) for deterministic walks;
-    predecessor lists feed the reverse BFS of :func:`_distances_to`,
-    whose result does not depend on their order.
+    Both lists keep edge order. No caller depends on walk order: the
+    solver takes the smallest of all resolved relations and the certifier
+    stops at the first inconsistent path.
     """
-    out: dict[int, list[tuple[int, RelationId]]] = {}
-    rev: dict[int, list[int]] = {}
+    succ: dict[int, list[tuple[int, RelationId]]] = {}
+    pred: dict[int, list[int]] = {}
     for u, r, v in edges:
-        out.setdefault(u, []).append((v, r))
-        rev.setdefault(v, []).append(u)
-    for nbrs in out.values():
-        nbrs.sort()
-    return out, rev
+        succ.setdefault(u, []).append((v, r))
+        pred.setdefault(v, []).append(u)
+    return succ, pred
 
 
 def _distances_to(rev: dict[int, list[int]], sink: int) -> dict[int, int]:
@@ -199,30 +197,28 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
     descriptor) yields an all-failing report rather than an error.
     """
     if not inst.descriptor:
-        return ValidationReport(frozenset(), False, False, False, False)
+        return ValidationReport(
+            resolved=frozenset(),
+            target_hit=False,
+            ambiguous=False,
+            shortcut_free=False,
+            path_consistent=False,
+        )
     resolved = resolve_descriptor(rules, inst.descriptor)
     target_hit = inst.target in resolved
     ambiguous = len(resolved) > 1
 
-    # one pass: successor and predecessor lists, and the (u, v) -> label
-    # map of the path check (a repeated pair keeps its last label)
-    succ: dict[int, list[tuple[int, RelationId]]] = {}
-    pred: dict[int, list[int]] = {}
-    edge_labels: dict[tuple[int, int], RelationId] = {}
-    for u, r, v in inst.edges:
-        succ.setdefault(u, []).append((v, r))
-        pred.setdefault(v, []).append(u)
-        edge_labels[(u, v)] = r
-
+    succ, pred = instance_adjacency(inst.edges)
     path_labels = []
     matches = len(inst.resolution_path) == len(inst.descriptor) + 1
     if matches:
         for a, b in zip(inst.resolution_path, inst.resolution_path[1:]):
-            r = edge_labels.get((a, b))
-            if r is None:
+            # a repeated (a, b) pair counts with its last label
+            found = [r for v, r in succ.get(a, ()) if v == b]
+            if not found:
                 matches = False
                 break
-            path_labels.append(r)
+            path_labels.append(found[-1])
         matches = matches and tuple(path_labels) == tuple(inst.descriptor)
 
     to_sink = _distances_to(pred, inst.sink)

@@ -145,25 +145,24 @@ def protocol_orderings(suite: Suite) -> dict:
     }
 
 
-def read_plan(path: str | Path, check_derived: bool = False) -> Suite:
+def read_plan(path: str | Path) -> Suite:
     """Parse a suite's ``manifest.json`` into its plan; load no world.
 
     The one manifest parser: config, master rules, worlds and their
-    splits. A malformed field is a SuiteFormatError naming the manifest.
-    With ``check_derived``, so is a ``similarity`` or ``protocols`` field
-    that differs from the one recomputed from the manifest's worlds.
+    splits. A malformed field is a SuiteFormatError naming the manifest,
+    and so is a ``similarity`` or ``protocols`` field that differs from
+    the one recomputed from the manifest's worlds.
     """
     file = Path(path) / "manifest.json"
     manifest = read_manifest(file.parent)
     suite = _parse(file, _plan_from_manifest, manifest)
-    if check_derived:
-        for key, derived in (
-            ("similarity", similarity_matrix(suite.worlds)),
-            ("protocols", protocol_orderings(suite)),
-        ):
-            # compared as JSON text, so 6.0 or true does not pass for 6 or 1
-            if json.dumps(manifest[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
-                raise SuiteFormatError(f"{file}: {key} is not the one its worlds give")
+    for key, derived in (
+        ("similarity", similarity_matrix(suite.worlds)),
+        ("protocols", protocol_orderings(suite)),
+    ):
+        # compared as JSON text, so 6.0 or true does not pass for 6 or 1
+        if json.dumps(manifest[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
+            raise SuiteFormatError(f"{file}: {key} is not the one its worlds give")
     return suite
 
 

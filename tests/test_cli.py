@@ -311,11 +311,14 @@ class TestValidate:
         manifest = json.loads(manifest_file.read_text())
         tamper(manifest)
         manifest_file.write_text(json.dumps(manifest))
-        rc = main(["validate", str(broken)])
-        assert rc == 2
-        assert f"{manifest_file}:" in capsys.readouterr().err
+        for command in ("validate", "solve", "stats"):
+            assert main([command, str(broken)]) == 2, command
+            assert f"{manifest_file}:" in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(f"{manifest_file}:")):
+            read_suite(broken)
 
-    @pytest.mark.parametrize("max_walk_len", [3, 2])
+    # 10.0 is the config's own bound written as a float
+    @pytest.mark.parametrize("max_walk_len", [3, 2, 10.0])
     def test_stats_max_walk_len_other_than_manifest_is_format_error(
         self, suite_dir, tmp_path, capsys, max_walk_len
     ):
@@ -323,7 +326,7 @@ class TestValidate:
         shutil.copytree(suite_dir, broken)
         stats_file = broken / "rule_0" / "stats.json"
         doc = json.loads(stats_file.read_text())
-        assert doc["max_walk_len"] != max_walk_len
+        assert json.dumps(doc["max_walk_len"]) != json.dumps(max_walk_len)
         doc["max_walk_len"] = max_walk_len
         stats_file.write_text(json.dumps(doc))
         rc = main(["validate", str(broken), "--world-id", "0"])

@@ -439,7 +439,8 @@ class TestGraphHelpers:
     @example(([(0, 0, 1), (1, 0, 2)], 0, 2, 1, 2))  # exact_len beyond max_len
     def test_iterative_walk_matches_recursive_reference(self, query):
         edges, source, sink, max_len, exact_len = query
-        adj, rev = instance_adjacency(edges)
+        # successor lists in the reference's (node, label) order
+        adj, rev = instance_adjacency(sorted(edges, key=lambda e: (e[0], e[2], e[1])))
         walked = list(
             iter_simple_path_labels(
                 adj, source, sink, max_len, exact_len, to_sink=_distances_to(rev, sink)
