@@ -160,7 +160,7 @@ def validate_world(
     manifest's ``split``, and that its ``rules.json`` holds ``rules``, the
     manifest's slice of the master rules. ``split``, ``rules`` and
     ``max_walk_len`` come from the manifest; a ``stats.json`` whose
-    ``max_walk_len`` differs is a SuiteFormatError naming it."""
+    ``max_walk_len`` is not that integer is a SuiteFormatError naming it."""
     _, ds, stats_doc = read_world(path, wid)
     world_path = path / world_dir_name(wid)
     if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:

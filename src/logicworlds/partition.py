@@ -52,13 +52,17 @@ def similarity(a: WorldSpec, b: WorldSpec) -> int:
 
 
 def similarity_matrix(worlds: list[WorldSpec]) -> list[list[int]]:
-    """Symmetric overlap-count matrix as rows, diagonal = rules per world."""
-    sets = [set(w.rule_indices) for w in worlds]
-    n = len(sets)
+    """Symmetric overlap-count matrix as rows, diagonal = rules per world.
+
+    Each world's rule set is a bit mask, so an overlap is one ``&`` and a
+    bit count rather than a set intersection.
+    """
+    masks = [sum(1 << i for i in set(w.rule_indices)) for w in worlds]
+    n = len(masks)
     sims = [[0] * n for _ in range(n)]
-    for i, a in enumerate(sets):
+    for i, a in enumerate(masks):
         for j in range(i, n):
-            sims[i][j] = sims[j][i] = len(a & sets[j])
+            sims[i][j] = sims[j][i] = (a & masks[j]).bit_count()
     return sims
 
 

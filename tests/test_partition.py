@@ -96,6 +96,7 @@ class TestSimilarity:
     def test_matrix_symmetric_with_w_diagonal(self, rng):
         _, worlds = partition_rules(n_dummy_rules(25), 8, 4, rng)
         mat = similarity_matrix(worlds)
+        assert mat == [[similarity(a, b) for b in worlds] for a in worlds]
         assert mat == [list(column) for column in zip(*mat)]
         assert [row[i] for i, row in enumerate(mat)] == [8] * len(worlds)
 
