@@ -34,7 +34,7 @@ from .dataset_io import (
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
 from .rules import RuleSet, select_rules
-from .sampler import SPLIT_NAMES
+from .sampler import SPLIT_NAMES, WorldDataset
 from .suite import (
     Suite,
     generate_suite_to_disk,
@@ -144,6 +144,19 @@ def _planned_worlds(args) -> tuple[Suite, list[int]]:
     return suite, [w.world_id for w in select_worlds(suite, _only(args))]
 
 
+def _read_checked_world(path: Path, wid: int, max_walk_len: int) -> tuple[WorldDataset, dict]:
+    """``read_world``'s dataset and stats doc, whose ``max_walk_len`` must be
+    ``max_walk_len``, the manifest config's: a ``stats.json`` holding any
+    other value, or a non-integer, is a SuiteFormatError naming it."""
+    _, ds, stats_doc = read_world(path, wid)
+    if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:
+        raise SuiteFormatError(
+            f"{path / world_dir_name(wid) / 'stats.json'}: max_walk_len "
+            f"{ds.max_walk_len!r} is not the manifest's {max_walk_len}"
+        )
+    return ds, stats_doc
+
+
 VALIDATE_COUNTS = (
     "instances", "valid", "ambiguous", "shortcut_violations", "walk_len_violations",
     "split_leaks", "stats_mismatch", "rules_mismatch",
@@ -161,16 +174,10 @@ def validate_world(
     manifest's slice of the master rules. ``split``, ``rules`` and
     ``max_walk_len`` come from the manifest; a ``stats.json`` whose
     ``max_walk_len`` is not that integer is a SuiteFormatError naming it."""
-    _, ds, stats_doc = read_world(path, wid)
-    world_path = path / world_dir_name(wid)
-    if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:
-        raise SuiteFormatError(
-            f"{world_path / 'stats.json'}: max_walk_len {ds.max_walk_len!r} is not "
-            f"the manifest's {max_walk_len}"
-        )
+    ds, stats_doc = _read_checked_world(path, wid, max_walk_len)
     instances = ds.all_instances()
     if not instances:
-        raise SuiteFormatError(f"{world_path}: world has no instances")
+        raise SuiteFormatError(f"{path / world_dir_name(wid)}: world has no instances")
     counts = dict.fromkeys(VALIDATE_COUNTS, 0)
     for inst in instances:
         report = validate_instance(ds.rules, inst)
@@ -178,7 +185,7 @@ def validate_world(
         counts["valid"] += report.is_valid
         counts["ambiguous"] += report.ambiguous
         counts["shortcut_violations"] += not report.shortcut_free
-        counts["walk_len_violations"] += not 2 <= len(inst.descriptor) <= ds.max_walk_len
+        counts["walk_len_violations"] += not 2 <= len(inst.descriptor) <= max_walk_len
     train, valid, test = (
         {inst.descriptor for inst in ds.instances[name]} for name in SPLIT_NAMES
     )
@@ -191,9 +198,11 @@ def validate_world(
     return counts
 
 
-def solve_world(path: Path, wid: int) -> float | None:
-    """Baseline accuracy on one world, None when it has no instances."""
-    _, ds, _ = read_world(path, wid)
+def solve_world(path: Path, wid: int, max_walk_len: int) -> float | None:
+    """Baseline accuracy on one world, None when it has no instances.
+    Paths are searched up to ``max_walk_len``, the manifest's bound, which
+    the world's ``stats.json`` must repeat, as in ``validate``."""
+    ds, _ = _read_checked_world(path, wid, max_walk_len)
     return symbolic_baseline_solve(ds.rules, ds)
 
 
@@ -230,8 +239,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _, wids = _planned_worlds(args)
-    results = map_worlds(solve_world, [(args.suite, wid) for wid in wids], args.workers)
+    suite, wids = _planned_worlds(args)
+    max_walk_len = suite.config.gen.max_walk_len
+    tasks = [(args.suite, wid, max_walk_len) for wid in wids]
+    results = map_worlds(solve_world, tasks, args.workers)
     accuracies = []
     for wid, accuracy in zip(wids, results):
         if accuracy is None:

@@ -17,6 +17,13 @@ Instance lines follow the schema
 with node ids dense per instance. One formatter,
 :func:`instance_to_json`, writes each line as the compact, key-sorted
 text ``json.dumps`` would give, without building the document first.
+
+A loaded world's instances share immutable tuples: :func:`read_world`
+parses every line of one world through one table, so equal edge
+triples, resolution paths and descriptors are one tuple object. Most of
+them repeat (world 0 of the seed-2026 ``instance-heavy`` plan holds
+25,606 edge triples, 3,337 of them distinct), and a loaded instance
+keeps about 550 bytes instead of about 1,940.
 """
 
 from __future__ import annotations
@@ -173,14 +180,26 @@ def instance_to_json(inst: Instance, world_id: int) -> str:
     )
 
 
-def instance_from_dict(data: dict) -> Instance:
+def instance_from_dict(data: dict, shared: dict) -> Instance:
+    """Parse one instance document. Each edge triple, resolution path and
+    descriptor is looked up in ``shared``, so equal ones parsed with the
+    same table come back as one tuple. A JSON array or object where the
+    schema has an integer raises TypeError: ``query`` and ``target`` are
+    checked as integers, and hashing a tuple that holds one fails."""
+    source, sink, target = data["query"][0], data["query"][1], data["target"]
+    if type(source) is not int or type(sink) is not int or type(target) is not int:
+        raise TypeError(f"query {data['query']!r} and target {target!r} must be integers")
+    share = shared.setdefault
+    edges = [(u, r, v) for u, r, v in data["edges"]]
+    path = tuple(data["resolution_path"])
+    descriptor = tuple(data["descriptor"])
     return Instance(
-        edges=tuple((u, r, v) for u, r, v in data["edges"]),
-        source=data["query"][0],
-        sink=data["query"][1],
-        target=data["target"],
-        resolution_path=tuple(data["resolution_path"]),
-        descriptor=tuple(data["descriptor"]),
+        edges=tuple([share(edge, edge) for edge in edges]),
+        source=source,
+        sink=sink,
+        target=target,
+        resolution_path=share(path, path),
+        descriptor=share(descriptor, descriptor),
     )
 
 
@@ -210,7 +229,8 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
 
     The dataset carries the world's rules; the stats doc is the parsed
     ``stats.json`` as stored. An instance line whose ``world_id`` is not
-    ``world_id`` is a SuiteFormatError naming its file and line.
+    ``world_id`` is a SuiteFormatError naming its file and line. Equal
+    tuples of the world's instances are one shared object.
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
@@ -223,6 +243,7 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
         stats_file, itemgetter("max_walk_len", "sampling_info"), stats_doc
     )
     instances: dict[str, list[Instance]] = {}
+    shared: dict = {}  # one tuple per distinct edge, path and descriptor
     for split in SPLIT_NAMES:
         file = world_path / f"{split}.jsonl"
         items = []
@@ -235,7 +256,7 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
                 continue
             try:
                 doc = json.loads(line)
-                items.append(instance_from_dict(doc))
+                items.append(instance_from_dict(doc, shared))
                 line_world = doc["world_id"]
             except (KeyError, IndexError, ValueError, TypeError) as exc:
                 raise SuiteFormatError(f"{file}:{lineno}: bad instance record ({exc})")

@@ -240,6 +240,40 @@ class TestValidate:
         assert rc == 2
         assert f"{split_file}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {"n": x}], ids=["array", "object"])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ("target",),
+            ("query", 0),
+            ("query", 1),
+            ("descriptor", 0),
+            ("resolution_path", 1),
+            ("edges", 0, 0),
+            ("edges", 0, 1),
+            ("edges", 0, 2),
+        ],
+        ids=lambda where: "-".join(map(str, where)),  # edges-0-1: the first edge's label
+    )
+    def test_container_for_integer_is_format_error_with_location(
+        self, suite_dir, tmp_path, capsys, command, wrap, where
+    ):
+        broken = tmp_path / "container"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        *outer, last = where
+        parent = record
+        for key in outer:
+            parent = parent[key]
+        parent[last] = wrap(parent[last])
+        lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        split_file.write_text("\n".join(lines) + "\n")
+        assert main([command, str(broken), "--world-id", "0", "--workers", "1"]) == 2
+        assert f"{split_file}:2: bad instance record" in capsys.readouterr().err
+
     def test_manifest_world_without_id_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "no_world_id"
         shutil.copytree(suite_dir, broken)
@@ -407,6 +441,21 @@ class TestSolve:
 
     def test_unreadable_suite(self, tmp_path):
         assert main(["solve", str(tmp_path / "missing")]) == 2
+
+    # solve searches paths up to the manifest's bound, so a stats.json that
+    # states another one is refused as in validate
+    @pytest.mark.parametrize("max_walk_len", [3, 2, 10.0])
+    def test_stats_max_walk_len_other_than_manifest_is_format_error(
+        self, suite_dir, tmp_path, capsys, max_walk_len
+    ):
+        broken = tmp_path / "walk_len"
+        shutil.copytree(suite_dir, broken)
+        stats_file = broken / "rule_0" / "stats.json"
+        doc = json.loads(stats_file.read_text())
+        doc["max_walk_len"] = max_walk_len
+        stats_file.write_text(json.dumps(doc))
+        assert main(["solve", str(broken), "--world-id", "0"]) == 2
+        assert f"{stats_file}: max_walk_len" in capsys.readouterr().err
 
 
 class TestStats:

@@ -13,6 +13,7 @@ from logicworlds.dataset_io import (
     extend_graph,
     instance_from_dict,
     instance_to_json,
+    read_world,
 )
 from logicworlds.errors import ConfigError, SuiteFormatError
 from logicworlds.sampler import Instance, WorldDataset
@@ -152,7 +153,7 @@ class TestInstanceSerialization:
             "world_id",
         }
         assert doc["query"] == [0, 2]
-        assert instance_from_dict(doc) == inst
+        assert instance_from_dict(doc, {}) == inst
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -191,6 +192,17 @@ class TestSuiteRoundTrip:
         _, suite, path = small_suite
         loaded = read_suite(path)
         assert loaded == suite
+
+    def test_world_shares_equal_tuples(self, small_suite):
+        _, suite, path = small_suite
+        for world in suite.worlds:
+            _, ds, _ = read_world(path, world.world_id)
+            first, seen = {}, 0
+            for inst in ds.all_instances():
+                for value in (*inst.edges, inst.resolution_path, inst.descriptor):
+                    assert first.setdefault(value, value) is value
+                    seen += 1
+            assert len(first) < seen  # the world repeats some tuple
 
     def test_layout(self, small_suite):
         _, suite, path = small_suite
