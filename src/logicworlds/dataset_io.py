@@ -23,7 +23,7 @@ parses every line of one world through one table, so equal edge
 triples, resolution paths and descriptors are one tuple object. Most of
 them repeat (world 0 of the seed-2026 ``instance-heavy`` plan holds
 25,606 edge triples, 3,337 of them distinct), and a loaded instance
-keeps about 550 bytes instead of about 1,940.
+keeps about 550 bytes instead of about 1,940 (tracemalloc, CPython 3.11).
 """
 
 from __future__ import annotations
