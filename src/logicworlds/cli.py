@@ -28,13 +28,13 @@ from .dataset_io import (
     _parse,
     compute_stats,
     difficulty_bucket,
-    read_world,
+    read_checked_world,
     world_dir_name,
 )
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .resolver import symbolic_baseline_solve, validate_instance
 from .rules import RuleSet, select_rules
-from .sampler import SPLIT_NAMES, WorldDataset
+from .sampler import SPLIT_NAMES
 from .suite import (
     Suite,
     generate_suite_to_disk,
@@ -144,19 +144,6 @@ def _planned_worlds(args) -> tuple[Suite, list[int]]:
     return suite, [w.world_id for w in select_worlds(suite, _only(args))]
 
 
-def _read_checked_world(path: Path, wid: int, max_walk_len: int) -> tuple[WorldDataset, dict]:
-    """``read_world``'s dataset and stats doc, whose ``max_walk_len`` must be
-    ``max_walk_len``, the manifest config's: a ``stats.json`` holding any
-    other value, or a non-integer, is a SuiteFormatError naming it."""
-    _, ds, stats_doc = read_world(path, wid)
-    if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:
-        raise SuiteFormatError(
-            f"{path / world_dir_name(wid) / 'stats.json'}: max_walk_len "
-            f"{ds.max_walk_len!r} is not the manifest's {max_walk_len}"
-        )
-    return ds, stats_doc
-
-
 VALIDATE_COUNTS = (
     "instances", "valid", "ambiguous", "shortcut_violations", "walk_len_violations",
     "split_leaks", "stats_mismatch", "rules_mismatch",
@@ -174,7 +161,7 @@ def validate_world(
     manifest's slice of the master rules. ``split``, ``rules`` and
     ``max_walk_len`` come from the manifest; a ``stats.json`` whose
     ``max_walk_len`` is not that integer is a SuiteFormatError naming it."""
-    ds, stats_doc = _read_checked_world(path, wid, max_walk_len)
+    _, ds, stats_doc = read_checked_world(path, wid, max_walk_len)
     instances = ds.all_instances()
     if not instances:
         raise SuiteFormatError(f"{path / world_dir_name(wid)}: world has no instances")
@@ -202,7 +189,7 @@ def solve_world(path: Path, wid: int, max_walk_len: int) -> float | None:
     """Baseline accuracy on one world, None when it has no instances.
     Paths are searched up to ``max_walk_len``, the manifest's bound, which
     the world's ``stats.json`` must repeat, as in ``validate``."""
-    ds, _ = _read_checked_world(path, wid, max_walk_len)
+    _, ds, _ = read_checked_world(path, wid, max_walk_len)
     return symbolic_baseline_solve(ds.rules, ds)
 
 

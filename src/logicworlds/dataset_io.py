@@ -44,6 +44,7 @@ EASY_THRESHOLD = 0.70
 MEDIUM_THRESHOLD = 0.54
 
 FLOAT_DIGITS = 6  # fixed serialization precision, round-half-even
+_decode_instance_line = json.JSONDecoder(parse_float=str).decode  # 1.0 stays text, never 1
 
 
 class Difficulty(enum.IntEnum):
@@ -183,24 +184,33 @@ def instance_to_json(inst: Instance, world_id: int) -> str:
 def instance_from_dict(data: dict, shared: dict) -> Instance:
     """Parse one instance document. Each edge triple, resolution path and
     descriptor is looked up in ``shared``, so equal ones parsed with the
-    same table come back as one tuple. A JSON array or object where the
-    schema has an integer raises TypeError: ``query`` and ``target`` are
-    checked as integers, and hashing a tuple that holds one fails."""
+    same table come back as one tuple. ``query``, ``target`` and the items of
+    a tuple entering the table must be ints, or TypeError is raised; a bool
+    or float equal to a held tuple passes, which read_world rules out."""
     source, sink, target = data["query"][0], data["query"][1], data["target"]
     if type(source) is not int or type(sink) is not int or type(target) is not int:
         raise TypeError(f"query {data['query']!r} and target {target!r} must be integers")
-    share = shared.setdefault
+    get = shared.get
     edges = [(u, r, v) for u, r, v in data["edges"]]
     path = tuple(data["resolution_path"])
     descriptor = tuple(data["descriptor"])
     return Instance(
-        edges=tuple([share(edge, edge) for edge in edges]),
+        edges=tuple([get(edge) or _share(edge, shared) for edge in edges]),
         source=source,
         sink=sink,
         target=target,
-        resolution_path=share(path, path),
-        descriptor=share(descriptor, descriptor),
+        resolution_path=get(path) or _share(path, shared),
+        descriptor=get(descriptor) or _share(descriptor, shared),
     )
+
+
+def _share(item: tuple, shared: dict) -> tuple:
+    """Enter ``item`` into ``shared`` once all its items are ints (or raise TypeError)."""
+    for x in item:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} in {list(item)!r} is not an integer")
+    shared[item] = item
+    return item
 
 
 def write_world(
@@ -255,12 +265,15 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = _decode_instance_line(line)
+                if "true" in line or "false" in line:  # a bool equals 1 or 0: check all
+                    for item in (*doc["edges"], doc["resolution_path"], doc["descriptor"]):
+                        _share(tuple(item), {})
                 items.append(instance_from_dict(doc, shared))
                 line_world = doc["world_id"]
             except (KeyError, IndexError, ValueError, TypeError) as exc:
                 raise SuiteFormatError(f"{file}:{lineno}: bad instance record ({exc})")
-            if line_world != world_id:
+            if type(line_world) is not int or line_world != world_id:
                 raise SuiteFormatError(
                     f"{file}:{lineno}: instance of world {line_world!r} in world {world_id}"
                 )
@@ -272,6 +285,20 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
         sampling_info=sampling_info,
         rules=world_rules,
     )
+    return graph, ds, stats_doc
+
+
+def read_checked_world(
+    path: Path, world_id: int, max_walk_len: int
+) -> tuple[WorldGraph, WorldDataset, dict]:
+    """:func:`read_world`, refusing a ``stats.json`` whose ``max_walk_len`` is
+    not the manifest's integer ``max_walk_len``: a SuiteFormatError naming it."""
+    graph, ds, stats_doc = read_world(path, world_id)
+    if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:
+        raise SuiteFormatError(
+            f"{path / world_dir_name(world_id) / 'stats.json'}: max_walk_len "
+            f"{ds.max_walk_len!r} is not the manifest's {max_walk_len}"
+        )
     return graph, ds, stats_doc
 
 
@@ -319,6 +346,7 @@ __all__ = [
     "extend_graph",
     "instance_from_dict",
     "instance_to_json",
+    "read_checked_world",
     "read_manifest",
     "read_world",
     "world_dir_name",

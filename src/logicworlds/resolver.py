@@ -15,13 +15,13 @@ sampler. :func:`symbolic_baseline_solve` is the perfect-accuracy
 reference solver used as the in-repo baseline.
 
 Both build an instance's successor and predecessor lists in one pass
-over its edges and take every node's distance to the sink from one
-reverse BFS. When the source lies exactly |descriptor| hops from the
-sink, certification walks only the paths whose distance drops by one
-per step: those are all simple paths of that length. A greater or
-missing distance leaves no such path; a smaller one (a shortcut) falls
-back to :func:`iter_simple_path_labels`, the depth-first walk of simple
-paths pruned by the distance table, which the solver uses throughout.
+over its edges, take every node's distance to the sink from one reverse
+BFS, and walk the simple source->sink paths with
+:func:`iter_simple_path_labels`, the depth-first walk pruned by those
+distances: the solver up to ``max_walk_len`` edges, the certifier up to
+|descriptor| edges. When the source lies exactly |descriptor| hops from
+the sink, the pruning admits only nodes one hop nearer at each step, so
+the certifier walks just the paths of that length.
 """
 
 from __future__ import annotations
@@ -117,36 +117,31 @@ def iter_simple_path_labels(
     source: int,
     sink: int,
     max_len: int,
-    exact_len: int | None = None,
     *,
     to_sink: dict[int, int],
 ) -> Iterator[tuple[RelationId, ...]]:
-    """Label sequences of simple directed source->sink paths, depth first.
+    """Label sequences of simple directed source->sink paths of at most
+    ``max_len`` edges, depth first.
 
-    Paths longer than ``max_len`` edges are skipped, as are prefixes that
-    cannot reach the sink within budget (pruning by ``to_sink``, the
-    :func:`_distances_to` table of ``sink``). One explicit stack of
-    successor iterators replaces recursion, so a path costs no nested
-    generator per edge.
+    A node is entered only when ``to_sink``, the :func:`_distances_to`
+    table of ``sink``, puts it within the edges left, which also keeps
+    paths to ``max_len``. One explicit stack of successor iterators
+    replaces recursion, so a path costs no nested generator per edge.
     """
-    if source not in to_sink:
-        return
-    budget = max_len if exact_len is None else exact_len
     labels: list[RelationId] = []
     path = [source]
     visited = {source}
     stack = [iter(adj.get(source, ()))]
     while stack:
-        length = len(labels) + 1
+        remaining = max_len - len(labels) - 1  # edges left after the next one
         for v, r in stack[-1]:
             if v == sink:
                 # simple paths end at the sink, never pass through it
-                if exact_len is None or length == exact_len:
-                    yield (*labels, r)
+                yield (*labels, r)
                 continue
-            # a node missing from to_sink cannot reach the sink: its
-            # default distance, budget, always exceeds the remainder
-            if v in visited or length >= max_len or to_sink.get(v, budget) > budget - length:
+            # nodes that cannot reach the sink, like every successor of a
+            # source that cannot, default to max_len, beyond any remainder
+            if to_sink.get(v, max_len) > remaining or v in visited:
                 continue
             visited.add(v)
             labels.append(r)
@@ -158,36 +153,6 @@ def iter_simple_path_labels(
             if labels:
                 labels.pop()
                 visited.remove(path.pop())
-
-
-def _layered_path_labels(
-    succ: dict[int, list[tuple[int, RelationId]]],
-    source: int,
-    n: int,
-    to_sink: dict[int, int],
-) -> Iterator[tuple[RelationId, ...]]:
-    """Label sequences of the source->sink paths of ``n`` edges, given
-    ``to_sink[source] == n``: an edge lowers the distance by at most one,
-    so they are the walks whose distance drops by one at each step, simple
-    without a visited set.
-    """
-    labels: list[RelationId] = []
-    stack = [iter(succ.get(source, ()))]
-    while stack:
-        want = n - len(labels) - 1  # the next node's distance to the sink
-        for v, r in stack[-1]:
-            if to_sink.get(v) != want:
-                continue
-            if want == 0:
-                yield (*labels, r)
-                continue
-            labels.append(r)
-            stack.append(iter(succ.get(v, ())))
-            break
-        else:
-            stack.pop()
-            if labels:
-                labels.pop()
 
 
 def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
@@ -223,21 +188,14 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
 
     to_sink = _distances_to(pred, inst.sink)
     n = len(inst.descriptor)
-    distance = to_sink.get(inst.source)
-    shortcut_free = distance == n
+    shortcut_free = to_sink.get(inst.source) == n
 
     path_consistent = matches
-    # no simple path of n edges exists when the distance exceeds n
-    if path_consistent and distance is not None and distance <= n:
-        if shortcut_free:
-            paths = _layered_path_labels(succ, inst.source, n, to_sink)
-        else:
-            paths = iter_simple_path_labels(
-                succ, inst.source, inst.sink, n, exact_len=n, to_sink=to_sink
-            )
+    if path_consistent:
         allowed = {inst.target}
-        for labels in paths:
-            if not resolve_descriptor(rules, labels) <= allowed:
+        for labels in iter_simple_path_labels(succ, inst.source, inst.sink, n, to_sink=to_sink):
+            # shorter paths exist only past a shortcut, already a failed check
+            if len(labels) == n and not resolve_descriptor(rules, labels) <= allowed:
                 path_consistent = False
                 break
 
@@ -261,9 +219,7 @@ def solve_instance(
     adj, rev = instance_adjacency(inst.edges)
     to_sink = _distances_to(rev, inst.sink)
     candidates: set[RelationId] = set()
-    for labels in iter_simple_path_labels(
-        adj, inst.source, inst.sink, max_len, to_sink=to_sink
-    ):
+    for labels in iter_simple_path_labels(adj, inst.source, inst.sink, max_len, to_sink=to_sink):
         candidates |= resolve_descriptor(rules, labels)
     return min(candidates) if candidates else None
 

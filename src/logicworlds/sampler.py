@@ -168,22 +168,19 @@ def collect_descriptors(
 
 
 def split_descriptors(
-    pairs: list[DescriptorPair],
+    descriptors: list[tuple[RelationId, ...]],
     fractions: tuple[float, float, float],
     rng: random.Random,
 ) -> dict[tuple[RelationId, ...], str]:
-    """Partition distinct descriptor values into train/valid/test.
+    """Partition distinct descriptor values, each listed once, into train/valid/test.
 
-    Sizes follow largest-remainder rounding of the fractions, with every
-    split guaranteed at least one descriptor. Instances always inherit
+    A shuffled copy is cut by largest-remainder rounding of the fractions,
+    with every split guaranteed at least one descriptor. Instances inherit
     the split of their descriptor, which keeps the splits inductive.
     """
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("split fractions must be positive and sum to 1")
-    seen: dict[tuple[RelationId, ...], None] = {}
-    for pair in pairs:
-        seen.setdefault(pair.descriptor, None)
-    descriptors = list(seen)
+    descriptors = list(descriptors)
     if len(descriptors) < len(SPLIT_NAMES):
         raise DegenerateWorldError(
             f"only {len(descriptors)} descriptors, cannot populate all splits"
@@ -387,7 +384,7 @@ def build_dataset(
     """
     collection = collect_descriptors(g, cfg.max_walk_len)
     pairs = usable_pairs(rules, collection, world_id)
-    assignment = split_descriptors(pairs, cfg.split_fractions, rng)
+    assignment = split_descriptors(collection.distinct_descriptors(), cfg.split_fractions, rng)
 
     pools: dict[str, dict[tuple[RelationId, ...], list[DescriptorPair]]] = {
         name: {} for name in SPLIT_NAMES

@@ -18,7 +18,7 @@ from typing import TypeVar
 
 from . import seeds
 from .config import SuiteConfig, config_from_dict
-from .dataset_io import _parse, read_manifest, read_world, write_manifest, write_world
+from .dataset_io import _parse, read_checked_world, read_manifest, write_manifest, write_world
 from .errors import ConfigError, SuiteFormatError
 from .partition import WorldSpec, partition_rules, similarity_matrix
 from .rules import (
@@ -186,13 +186,14 @@ def _plan_from_manifest(manifest: dict) -> Suite:
 def read_suite(path: str | Path) -> Suite:
     """Load a complete suite directory: its plan and every listed world.
 
-    A listed world without its directory is a SuiteFormatError, as in
+    A listed world without its directory, or whose ``stats.json`` breaks
+    the manifest's ``max_walk_len``, is a SuiteFormatError, as in
     ``validate``; read one world of a partial suite with ``read_world``.
     """
     root = Path(path)
     suite = read_plan(root)
     for world in select_worlds(suite, None):
-        graph, dataset, _ = read_world(root, world.world_id)
+        graph, dataset, _ = read_checked_world(root, world.world_id, suite.config.gen.max_walk_len)
         suite.graphs[world.world_id] = graph
         suite.datasets[world.world_id] = dataset
     return suite

@@ -6,15 +6,19 @@ way so a test can pin the package's version equal to it:
 - :func:`brute_force_resolve` resolves a descriptor by folding every
   binary bracketing, against ``resolver.resolve_descriptor``;
 - :func:`shortest_distance` is the directed hop count of an instance;
+- :func:`reference_simple_path_labels` is the recursive simple-path walk
+  the iterative ``resolver.iter_simple_path_labels`` replaced, on its own
+  sorted adjacency and distance table;
 - :func:`reference_validate_instance` certifies an instance by walking
-  every simple path of resolution length, against
-  ``resolver.validate_instance`` and its layered walk;
+  every simple path of resolution length with that recursive walk,
+  against ``resolver.validate_instance``;
 - :func:`instance_to_dict` is the instance line's JSON document, whose
   ``json.dumps`` text ``dataset_io.instance_to_json`` must equal.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from typing import Sequence
 
@@ -23,7 +27,6 @@ from logicworlds.resolver import (
     ValidationReport,
     _distances_to,
     instance_adjacency,
-    iter_simple_path_labels,
     resolve_descriptor,
 )
 from logicworlds.rules import RelationId, RuleSet, compose
@@ -84,9 +87,57 @@ def shortest_distance(rev: dict[int, list[int]], source: int, sink: int) -> int 
     return _distances_to(rev, sink).get(source)
 
 
+def reference_simple_path_labels(edges, source, sink, max_len):
+    """Label sequences of the simple source->sink paths of at most ``max_len``
+    edges, walked recursively.
+
+    It builds its own sorted successor lists, reverse adjacency and
+    distance table, sharing no code with the resolver's walk.
+    """
+    adj = {}
+    for u, r, v in edges:
+        adj.setdefault(u, []).append((v, r))
+    for nbrs in adj.values():
+        nbrs.sort()
+    rev = {}
+    for u, nbrs in adj.items():
+        for v, _ in nbrs:
+            rev.setdefault(v, []).append(u)
+    to_sink = {sink: 0}
+    queue = deque([sink])
+    while queue:
+        v = queue.popleft()
+        for u in rev.get(v, ()):
+            if u not in to_sink:
+                to_sink[u] = to_sink[v] + 1
+                queue.append(u)
+    if source not in to_sink:
+        return
+    path_labels = []
+    visited = {source}
+
+    def walk(node):
+        for v, r in adj.get(node, ()):
+            length = len(path_labels) + 1
+            if v == sink:
+                yield tuple(path_labels) + (r,)
+                continue
+            if v in visited or length >= max_len:
+                continue
+            if to_sink.get(v, max_len + 1) > max_len - length:
+                continue
+            visited.add(v)
+            path_labels.append(r)
+            yield from walk(v)
+            path_labels.pop()
+            visited.remove(v)
+
+    yield from walk(source)
+
+
 def reference_validate_instance(rules: RuleSet, inst: Instance) -> ValidationReport:
-    """Every soundness check, with the same-length paths found by walking
-    every simple source->sink path of ``|descriptor|`` edges."""
+    """Every soundness check, with the same-length paths found by
+    :func:`reference_simple_path_labels`, kept to ``|descriptor|`` edges."""
     if not inst.descriptor:
         return ValidationReport(
             resolved=frozenset(),
@@ -111,17 +162,14 @@ def reference_validate_instance(rules: RuleSet, inst: Instance) -> ValidationRep
             path_labels.append(r)
         matches = matches and tuple(path_labels) == tuple(inst.descriptor)
 
-    adj, rev = instance_adjacency(inst.edges)
-    to_sink = _distances_to(rev, inst.sink)
+    _, rev = instance_adjacency(inst.edges)
     n = len(inst.descriptor)
-    shortcut_free = to_sink.get(inst.source) == n
+    shortcut_free = shortest_distance(rev, inst.source, inst.sink) == n
 
     path_consistent = matches
     if path_consistent:
-        for labels in iter_simple_path_labels(
-            adj, inst.source, inst.sink, n, exact_len=n, to_sink=to_sink
-        ):
-            if not resolve_descriptor(rules, labels) <= {inst.target}:
+        for labels in reference_simple_path_labels(inst.edges, inst.source, inst.sink, n):
+            if len(labels) == n and not resolve_descriptor(rules, labels) <= {inst.target}:
                 path_consistent = False
                 break
 

@@ -241,7 +241,11 @@ class TestValidate:
         assert f"{split_file}:2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
-    @pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {"n": x}], ids=["array", "object"])
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda x: [x], lambda x: {"n": x}, str, float, lambda x: True, lambda x: None],
+        ids=["array", "object", "string", "float", "true", "null"],
+    )
     @pytest.mark.parametrize(
         "where",
         [
@@ -273,6 +277,39 @@ class TestValidate:
         split_file.write_text("\n".join(lines) + "\n")
         assert main([command, str(broken), "--world-id", "0", "--workers", "1"]) == 2
         assert f"{split_file}:2: bad instance record" in capsys.readouterr().err
+
+    # the altered copy of line 2 equals it, so with the copy second every
+    # tuple it holds is already in the world's shared table
+    @pytest.mark.parametrize("copy_first", [False, True], ids=["copy-second", "copy-first"])
+    @pytest.mark.parametrize("kind", [float, bool])
+    @pytest.mark.parametrize(
+        "where",
+        [("edges", 0, 0), ("edges", 0, 2), ("resolution_path", 0), ("resolution_path", 1)],
+        ids=lambda where: "-".join(map(str, where)),
+    )
+    def test_float_or_bool_equal_to_an_integer_is_format_error_in_either_order(
+        self, suite_dir, tmp_path, capsys, copy_first, kind, where
+    ):
+        broken = tmp_path / "equal_non_integer"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        *outer, last = where
+        parent = record
+        for key in outer:
+            parent = parent[key]
+        assert parent[last] in (0, 1)  # so that bool(x) == x
+        parent[last] = kind(parent[last])
+        copy = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        lines[1:2] = [copy, lines[1]] if copy_first else [lines[1], copy]
+        split_file.write_text("\n".join(lines) + "\n")
+        message = f"{split_file}:{2 if copy_first else 3}: bad instance record"
+        for command in ("validate", "solve"):
+            assert main([command, str(broken), "--world-id", "0", "--workers", "1"]) == 2
+            assert message in capsys.readouterr().err
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
+            read_suite(broken)
 
     def test_manifest_world_without_id_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "no_world_id"
@@ -367,6 +404,19 @@ class TestValidate:
         assert rc == 2
         assert f"{stats_file}: max_walk_len" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_walk_len", [3, 2, 10.0])
+    def test_read_suite_refuses_stats_max_walk_len_other_than_manifest(
+        self, suite_dir, tmp_path, max_walk_len
+    ):
+        broken = tmp_path / "walk_len"
+        shutil.copytree(suite_dir, broken)
+        stats_file = broken / "rule_0" / "stats.json"
+        doc = json.loads(stats_file.read_text())
+        doc["max_walk_len"] = max_walk_len
+        stats_file.write_text(json.dumps(doc))
+        with pytest.raises(SuiteFormatError, match=re.escape(f"{stats_file}: max_walk_len")):
+            read_suite(broken)
+
     def test_manifest_world_without_split_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "no_split"
         shutil.copytree(suite_dir, broken)
@@ -379,18 +429,22 @@ class TestValidate:
         assert f"{manifest_file}: worlds[0] has no split" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
+    # true and 1.0 equal the world's id 1 but are not integers
+    @pytest.mark.parametrize(
+        "world_id, shown", [(0, "0"), (True, "True"), (1.0, "'1.0'")], ids=["0", "true", "1.0"]
+    )
     def test_instance_of_another_world_is_format_error(
-        self, suite_dir, tmp_path, capsys, command
+        self, suite_dir, tmp_path, capsys, command, world_id, shown
     ):
         broken = tmp_path / "moved_instance"
         shutil.copytree(suite_dir, broken)
         split_file = broken / "rule_1" / "test.jsonl"
         lines = split_file.read_text().splitlines()
         record = json.loads(lines[1])
-        record["world_id"] = 0
+        record["world_id"] = world_id
         lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         split_file.write_text("\n".join(lines) + "\n")
-        message = f"{split_file}:2: instance of world 0 in world 1"
+        message = f"{split_file}:2: instance of world {shown} in world 1"
         assert main([command, str(broken)]) == 2
         assert message in capsys.readouterr().err
         with pytest.raises(SuiteFormatError, match=re.escape(message)):

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +19,12 @@ from logicworlds.sampler import Instance, WorldDataset
 from logicworlds.worldgraph import derive_closure
 
 from conftest import make_rules
-from oracles import brute_force_resolve, reference_validate_instance, shortest_distance
+from oracles import (
+    brute_force_resolve,
+    reference_simple_path_labels,
+    reference_validate_instance,
+    shortest_distance,
+)
 
 
 class TestResolveDescriptor:
@@ -292,13 +296,14 @@ class TestValidateInstanceReference:
     @settings(max_examples=500, deadline=None)
     @given(certification_cases())
     @example((CHAIN_RULES, dataclasses.replace(chain_instance(), descriptor=())))
-    def test_layered_walk_reports_as_all_simple_paths(self, case):
+    def test_certifier_reports_as_the_recursive_reference(self, case):
         rules, inst = case
         assert validate_instance(rules, inst) == reference_validate_instance(rules, inst)
 
     def test_cases_reach_every_branch(self):
-        # the layered walk, the fallback walk and the no-path case each
-        # decide some of a fixed sample of the strategy's cases
+        # shortcut-free instances, shortcuts and instances without a path
+        # of |descriptor| edges each decide some of a fixed sample of the
+        # strategy's cases
         seen = set()
 
         @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -316,9 +321,9 @@ class TestValidateInstanceReference:
             elif distance < n:
                 seen.add("shortcut")
             elif report.path_consistent:
-                seen.add("layered consistent")
+                seen.add("shortcut-free consistent")
             else:
-                seen.add("layered inconsistent")
+                seen.add("shortcut-free inconsistent")
             if inst.source == inst.sink:
                 seen.add("source is sink")
             if any(u == v for u, _, v in inst.edges):
@@ -328,8 +333,8 @@ class TestValidateInstanceReference:
 
         classify()
         assert seen == {
-            "unreachable", "longer", "shortcut", "layered consistent",
-            "layered inconsistent", "source is sink", "self-loop", "pair with two labels",
+            "unreachable", "longer", "shortcut", "shortcut-free consistent",
+            "shortcut-free inconsistent", "source is sink", "self-loop", "pair with two labels",
         }
 
 
@@ -355,64 +360,13 @@ class TestBaselineSolver:
         assert symbolic_baseline_solve(CHAIN_RULES, single_world_dataset([])) is None
 
 
-def reference_simple_path_labels(edges, source, sink, max_len, exact_len=None):
-    """The recursive walk the iterative one replaced, kept as its reference.
-
-    It builds its own sorted successor lists and derives the reverse
-    adjacency from them, as the resolver did before both came from one
-    pass over the edges.
-    """
-    adj = {}
-    for u, r, v in edges:
-        adj.setdefault(u, []).append((v, r))
-    for nbrs in adj.values():
-        nbrs.sort()
-    rev = {}
-    for u, nbrs in adj.items():
-        for v, _ in nbrs:
-            rev.setdefault(v, []).append(u)
-    to_sink = {sink: 0}
-    queue = deque([sink])
-    while queue:
-        v = queue.popleft()
-        for u in rev.get(v, ()):
-            if u not in to_sink:
-                to_sink[u] = to_sink[v] + 1
-                queue.append(u)
-    if source not in to_sink:
-        return
-    path_labels = []
-    visited = {source}
-
-    def walk(node):
-        for v, r in adj.get(node, ()):
-            length = len(path_labels) + 1
-            if v == sink:
-                if exact_len is None or length == exact_len:
-                    yield tuple(path_labels) + (r,)
-                continue
-            if v in visited or length >= max_len:
-                continue
-            remaining = (exact_len if exact_len is not None else max_len) - length
-            if to_sink.get(v, max_len + 1) > remaining:
-                continue
-            visited.add(v)
-            path_labels.append(r)
-            yield from walk(v)
-            path_labels.pop()
-            visited.remove(v)
-
-    yield from walk(source)
-
-
 @st.composite
 def walk_queries(draw):
-    """A labelled digraph of up to 7 nodes with a source, sink and bounds."""
+    """A labelled digraph of up to 7 nodes with a source, sink and length bound."""
     nodes = st.integers(0, draw(st.integers(1, 6)))
     edges = draw(st.lists(st.tuples(nodes, st.integers(0, 2), nodes), unique=True, max_size=30))
     max_len = draw(st.integers(1, 7))
-    exact_len = draw(st.none() | st.integers(1, max_len + 1))
-    return edges, draw(nodes), draw(nodes), max_len, exact_len
+    return edges, draw(nodes), draw(nodes), max_len
 
 
 class TestGraphHelpers:
@@ -425,27 +379,21 @@ class TestGraphHelpers:
     def test_given_distance_table_yields_the_same_paths(self):
         edges = [(0, 0, 1), (1, 1, 2), (0, 2, 3), (3, 3, 2), (1, 4, 3), (2, 5, 4)]
         adj, rev = instance_adjacency(edges)
-        for exact in (None, 2, 3):
-            reference = list(reference_simple_path_labels(edges, 0, 2, 4, exact_len=exact))
+        for max_len in (4, 3, 2):
+            reference = list(reference_simple_path_labels(edges, 0, 2, max_len))
             given = list(
-                iter_simple_path_labels(
-                    adj, 0, 2, 4, exact_len=exact, to_sink=_distances_to(rev, 2)
-                )
+                iter_simple_path_labels(adj, 0, 2, max_len, to_sink=_distances_to(rev, 2))
             )
             assert reference == given and reference
 
     @settings(max_examples=300, deadline=None)
     @given(walk_queries())
-    @example(([(0, 0, 1), (1, 0, 2)], 0, 2, 1, 2))  # exact_len beyond max_len
+    @example(([(0, 0, 1), (1, 0, 2)], 0, 2, 1))  # the one path is longer than max_len
     def test_iterative_walk_matches_recursive_reference(self, query):
-        edges, source, sink, max_len, exact_len = query
+        edges, source, sink, max_len = query
         # successor lists in the reference's (node, label) order
         adj, rev = instance_adjacency(sorted(edges, key=lambda e: (e[0], e[2], e[1])))
         walked = list(
-            iter_simple_path_labels(
-                adj, source, sink, max_len, exact_len, to_sink=_distances_to(rev, sink)
-            )
+            iter_simple_path_labels(adj, source, sink, max_len, to_sink=_distances_to(rev, sink))
         )
-        assert walked == list(
-            reference_simple_path_labels(edges, source, sink, max_len, exact_len)
-        )
+        assert walked == list(reference_simple_path_labels(edges, source, sink, max_len))

@@ -9,7 +9,6 @@ from logicworlds.resolver import instance_adjacency, resolve_descriptor, validat
 from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.sampler import (
     SPLIT_NAMES,
-    DescriptorPair,
     _remove_shortcuts,
     build_dataset,
     collect_descriptors,
@@ -100,44 +99,41 @@ class TestCollectDescriptors:
         assert 20 <= len(distinct) <= 10_000
 
 
-def dummy_pairs(n):
-    return [
-        DescriptorPair(edge=(0, 1, 1), descriptor=(i, i + 1), path=(0, 1))
-        for i in range(n)
-    ]
+def dummy_descriptors(n):
+    return [(i, i + 1) for i in range(n)]
 
 
 class TestSplitDescriptors:
     def test_largest_remainder_8_1_1(self, rng):
-        assignment = split_descriptors(dummy_pairs(10), (0.8, 0.1, 0.1), rng)
+        assignment = split_descriptors(dummy_descriptors(10), (0.8, 0.1, 0.1), rng)
         counts = {name: 0 for name in SPLIT_NAMES}
         for split in assignment.values():
             counts[split] += 1
         assert counts == {"train": 8, "valid": 1, "test": 1}
 
     def test_partition_is_disjoint_and_total(self, rng):
-        pairs = dummy_pairs(23)
-        assignment = split_descriptors(pairs, (0.7, 0.15, 0.15), rng)
+        descriptors = dummy_descriptors(23)
+        assignment = split_descriptors(descriptors, (0.7, 0.15, 0.15), rng)
         assert len(assignment) == 23
         assert set(assignment.values()) == set(SPLIT_NAMES)
 
     def test_deterministic_given_seed(self):
-        pairs = dummy_pairs(17)
-        a = split_descriptors(pairs, (0.7, 0.15, 0.15), random.Random(9))
-        b = split_descriptors(pairs, (0.7, 0.15, 0.15), random.Random(9))
+        descriptors = dummy_descriptors(17)
+        a = split_descriptors(descriptors, (0.7, 0.15, 0.15), random.Random(9))
+        b = split_descriptors(descriptors, (0.7, 0.15, 0.15), random.Random(9))
         assert a == b
 
     def test_too_few_descriptors(self, rng):
         with pytest.raises(DegenerateWorldError):
-            split_descriptors(dummy_pairs(2), (0.7, 0.15, 0.15), rng)
+            split_descriptors(dummy_descriptors(2), (0.7, 0.15, 0.15), rng)
 
     def test_every_split_populated_even_when_skewed(self, rng):
-        assignment = split_descriptors(dummy_pairs(3), (0.98, 0.01, 0.01), rng)
+        assignment = split_descriptors(dummy_descriptors(3), (0.98, 0.01, 0.01), rng)
         assert sorted(assignment.values()) == sorted(SPLIT_NAMES)
 
     def test_bad_fractions(self, rng):
         with pytest.raises(ConfigError):
-            split_descriptors(dummy_pairs(5), (0.5, 0.5, 0.5), rng)
+            split_descriptors(dummy_descriptors(5), (0.5, 0.5, 0.5), rng)
 
 
 class TestSampleInstance:
