@@ -125,12 +125,13 @@ def iter_simple_path_labels(
 
     A node is entered only when ``to_sink``, the :func:`_distances_to`
     table of ``sink``, puts it within the edges left, which also keeps
-    paths to ``max_len``. One explicit stack of successor iterators
+    paths to ``max_len``, and only once per path (the short ``path`` list
+    is the visited set). One explicit stack of successor iterators
     replaces recursion, so a path costs no nested generator per edge.
     """
     labels: list[RelationId] = []
     path = [source]
-    visited = {source}
+    distance = to_sink.get
     stack = [iter(adj.get(source, ()))]
     while stack:
         remaining = max_len - len(labels) - 1  # edges left after the next one
@@ -141,9 +142,8 @@ def iter_simple_path_labels(
                 continue
             # nodes that cannot reach the sink, like every successor of a
             # source that cannot, default to max_len, beyond any remainder
-            if to_sink.get(v, max_len) > remaining or v in visited:
+            if distance(v, max_len) > remaining or v in path:
                 continue
-            visited.add(v)
             labels.append(r)
             path.append(v)
             stack.append(iter(adj.get(v, ())))
@@ -152,7 +152,7 @@ def iter_simple_path_labels(
             stack.pop()
             if labels:
                 labels.pop()
-                visited.remove(path.pop())
+                path.pop()
 
 
 def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
