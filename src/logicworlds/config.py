@@ -50,8 +50,11 @@ def config_from_dict(doc: dict) -> SuiteConfig:
 
     Each value must have its field's annotated type: a ``bool`` is not an
     ``int``, an ``int`` is a valid ``float``, and a tuple field takes a
-    list whose elements are checked one by one.
+    list whose elements are checked one by one. A ``doc`` that is not a
+    JSON object is a ConfigError.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     gen_keys = {f.name for f in fields(GenConfig)}
     suite_keys = {f.name for f in fields(SuiteConfig)} - {"gen"}
     unknown = set(doc) - suite_keys - gen_keys
@@ -91,8 +94,6 @@ def load_config(path: str | Path) -> SuiteConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
     try:
         return config_from_dict(doc)
     except ConfigError as exc:

@@ -3,9 +3,9 @@
 On-disk layout of a suite (all JSON/JSONL, byte-deterministic given the
 config and seed):
 
-    <out>/manifest.json        master rules, world list + splits,
-                               similarity matrix, resolved config,
-                               protocol orderings
+    <out>/manifest.json        suite.manifest_doc: resolved config, master
+                               rules, and what they give: world list +
+                               splits, similarity matrix, protocol orderings
     <out>/rule_<id>/rules.json         the world's rule subset
     <out>/rule_<id>/world_graph.json   {"nodes": n, "edges": [[u, r, v], ...]}
     <out>/rule_<id>/{train,valid,test}.jsonl   one instance per line
@@ -184,10 +184,14 @@ def instance_to_json(inst: Instance, world_id: int) -> str:
 def instance_from_dict(data: dict, shared: dict) -> Instance:
     """Parse one instance document. Each edge triple, resolution path and
     descriptor is looked up in ``shared``, so equal ones parsed with the
-    same table come back as one tuple. ``query``, ``target`` and the items of
-    a tuple entering the table must be ints, or TypeError is raised; a bool
-    or float equal to a held tuple passes, which read_world rules out."""
-    source, sink, target = data["query"][0], data["query"][1], data["target"]
+    same table come back as one tuple. The document must hold the six keys
+    of the schema and a two-item ``query``, or ValueError is raised.
+    ``query``, ``target`` and the items of a tuple entering the table must be
+    ints, or TypeError is raised; a bool or float equal to a held tuple
+    passes, which read_world rules out."""
+    (source, sink), target = data["query"], data["target"]
+    if len(data) != 6:
+        raise ValueError(f"keys {sorted(data)} are not the six of the instance schema")
     if type(source) is not int or type(sink) is not int or type(target) is not int:
         raise TypeError(f"query {data['query']!r} and target {target!r} must be integers")
     get = shared.get
@@ -302,40 +306,14 @@ def read_checked_world(
     return graph, ds, stats_doc
 
 
-def write_manifest(
-    path: Path,
-    config_doc: dict,
-    rules_doc: dict,
-    worlds_doc: list[dict],
-    similarity: list[list[int]],
-    protocols: dict,
-) -> None:
-    _dump_json(
-        path / "manifest.json",
-        {
-            "config": config_doc,
-            "seed": config_doc["seed"],
-            "rules": rules_doc,
-            "worlds": worlds_doc,
-            "similarity": similarity,
-            "protocols": protocols,
-        },
-    )
+def write_manifest(path: Path, doc: dict) -> None:
+    """Write ``doc``, the plan's ``suite.manifest_doc``, as ``path/manifest.json``."""
+    _dump_json(path / "manifest.json", doc)
 
 
-def read_manifest(path: Path) -> dict:
-    file = path / "manifest.json"
-    manifest = _load_json(file)
-    for key in ("config", "rules", "worlds", "similarity", "protocols"):
-        if not isinstance(manifest, dict) or key not in manifest:
-            raise SuiteFormatError(f"{file}: missing key {key!r}")
-    if not isinstance(manifest["worlds"], list):
-        raise SuiteFormatError(f"{file}: worlds is not a list")
-    for pos, world in enumerate(manifest["worlds"]):
-        for key in ("world_id", "split"):
-            if not isinstance(world, dict) or key not in world:
-                raise SuiteFormatError(f"{file}: worlds[{pos}] has no {key}")
-    return manifest
+def read_manifest(path: Path):
+    """The parsed ``path/manifest.json`` as stored; ``suite.read_plan`` checks it."""
+    return _load_json(path / "manifest.json")
 
 
 __all__ = [

@@ -27,23 +27,29 @@ def partition_rules(
 ) -> tuple[RuleSet, list[WorldSpec]]:
     """Permute the master list, then take windows [i, i+w) for i = 0, s, 2s, ...
 
-    Returns the permuted master rules and the worlds, whose ``rule_indices``
-    index them. The last window start is the inclusive bound
-    ``len(rules) - w``, so the partition yields ``(len(rules) - w) // s + 1`` worlds.
+    Returns the permuted master rules and the worlds of :func:`rule_windows`,
+    whose ``rule_indices`` index them.
     """
-    n = len(rules)
+    worlds = rule_windows(len(rules), w, s)
+    order = list(range(len(rules)))
+    rng.shuffle(order)
+    return select_rules(rules, order), worlds
+
+
+def rule_windows(n: int, w: int, s: int) -> list[WorldSpec]:
+    """The worlds over ``n`` permuted rules: windows [i, i+w) for i = 0, s, 2s, ...
+
+    The last window start is the inclusive bound ``n - w``, so there are
+    ``(n - w) // s + 1`` worlds, with world ids 0, 1, 2, ...
+    """
     if not 0 < w <= n:
         raise ConfigError(f"rules per world w={w} must satisfy 0 < w <= {n}")
     if s <= 0:
         raise ConfigError(f"stride s={s} must be positive")
-    order = list(range(n))
-    rng.shuffle(order)
-    permuted = select_rules(rules, order)
-    worlds = [
+    return [
         WorldSpec(world_id=wid, rule_indices=tuple(range(start, start + w)))
         for wid, start in enumerate(range(0, n - w + 1, s))
     ]
-    return permuted, worlds
 
 
 def similarity(a: WorldSpec, b: WorldSpec) -> int:

@@ -20,7 +20,7 @@ from . import seeds
 from .config import SuiteConfig, config_from_dict
 from .dataset_io import _parse, read_checked_world, read_manifest, write_manifest, write_world
 from .errors import ConfigError, SuiteFormatError
-from .partition import WorldSpec, partition_rules, similarity_matrix
+from .partition import WorldSpec, partition_rules, rule_windows, similarity_matrix
 from .rules import (
     RuleSet,
     generate_alphabet,
@@ -29,7 +29,7 @@ from .rules import (
     ruleset_to_dict,
     select_rules,
 )
-from .sampler import SPLIT_NAMES, WorldDataset, build_dataset
+from .sampler import WorldDataset, build_dataset
 from .worldgraph import WorldGraph, generate_world_graph
 
 T = TypeVar("T")
@@ -53,12 +53,19 @@ def plan_suite(config: SuiteConfig) -> Suite:
         config.symmetric_fraction,
     )
     master = generate_rules(alphabet, seeds.rng_for(config.seed, seeds.TAG_RULES))
-    rules, worlds = partition_rules(
+    rules, _ = partition_rules(
         master,
         config.rules_per_world,
         config.stride,
         seeds.rng_for(config.seed, seeds.TAG_PARTITION),
     )
+    return _plan(config, rules)
+
+
+def _plan(config: SuiteConfig, rules: RuleSet) -> Suite:
+    """The plan of ``config`` over its permuted master ``rules``; the writer
+    and :func:`read_plan` both derive the worlds and their splits here."""
+    worlds = rule_windows(len(rules), config.rules_per_world, config.stride)
     world_splits = assign_world_splits(
         [w.world_id for w in worlds], config.valid_worlds, config.test_worlds
     )
@@ -133,54 +140,59 @@ def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> S
     return suite
 
 
-def protocol_orderings(suite: Suite) -> dict:
-    """Manifest orderings for the supervised/multitask/continual setups."""
+def manifest_doc(suite: Suite) -> dict:
+    """The plan's ``manifest.json`` document, the one statement of its format:
+    ``config``, the permuted master ``rules`` and what they give (``seed``,
+    ``worlds`` with splits, ``similarity``, the ``protocols`` orderings)."""
+    config = suite.config.to_dict()
     ids = [w.world_id for w in suite.worlds]
     train = [wid for wid in ids if suite.world_splits[wid] == "train"]
     heldout = [wid for wid in ids if suite.world_splits[wid] != "train"]
     return {
-        "supervised": ids,
-        "multitask": {"train": train, "heldout": heldout},
-        "continual": train,
+        "config": config,
+        "seed": config["seed"],
+        "rules": ruleset_to_dict(suite.rules),
+        "worlds": [
+            {
+                "world_id": w.world_id,
+                "rule_indices": list(w.rule_indices),
+                "split": suite.world_splits[w.world_id],
+            }
+            for w in suite.worlds
+        ],
+        "similarity": similarity_matrix(suite.worlds),
+        "protocols": {
+            "supervised": ids,
+            "multitask": {"train": train, "heldout": heldout},
+            "continual": train,
+        },
     }
 
 
 def read_plan(path: str | Path) -> Suite:
     """Parse a suite's ``manifest.json`` into its plan; load no world.
 
-    The one manifest parser: config, master rules, worlds and their
-    splits. A malformed field is a SuiteFormatError naming the manifest,
-    and so is a ``similarity`` or ``protocols`` field that differs from
-    the one recomputed from the manifest's worlds.
+    The one manifest parser: it parses ``config`` and ``rules`` and derives
+    the rest of the plan as :func:`plan_suite` does. A malformed ``config``
+    or ``rules``, or any manifest but that plan's :func:`manifest_doc`, is a
+    SuiteFormatError naming the file (and the first key that differs).
     """
     file = Path(path) / "manifest.json"
     manifest = read_manifest(file.parent)
-    suite = _parse(file, _plan_from_manifest, manifest)
-    for key, derived in (
-        ("similarity", similarity_matrix(suite.worlds)),
-        ("protocols", protocol_orderings(suite)),
-    ):
-        # compared as JSON text, so 6.0 or true does not pass for 6 or 1
-        if json.dumps(manifest[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
-            raise SuiteFormatError(f"{file}: {key} is not the one its worlds give")
+    suite = _parse(
+        file,
+        lambda doc: _plan(config_from_dict(doc["config"]), ruleset_from_dict(doc["rules"])),
+        manifest,
+    )
+    # compared as JSON text, so 6.0 or true does not pass for 6 or 1
+    found, derived = (
+        {key: json.dumps(value, sort_keys=True) for key, value in doc.items()}
+        for doc in (manifest, manifest_doc(suite))
+    )
+    for key in sorted(found.keys() | derived.keys()):
+        if found.get(key) != derived.get(key):
+            raise SuiteFormatError(f"{file}: {key} is not the one its config and rules give")
     return suite
-
-
-def _plan_from_manifest(manifest: dict) -> Suite:
-    config = config_from_dict(manifest["config"])
-    rules = ruleset_from_dict(manifest["rules"])
-    worlds, world_splits = [], {}
-    for world in manifest["worlds"]:
-        wid, indices, split = world["world_id"], world["rule_indices"], world["split"]
-        if type(wid) is not int or wid in world_splits:
-            raise ValueError(f"world_id {wid!r} is not a new integer")
-        if not all(type(i) is int and 0 <= i < len(rules) for i in indices):
-            raise ValueError(f"world {wid}: rule_indices {indices!r} are not master rules")
-        if split not in SPLIT_NAMES:
-            raise ValueError(f"world {wid}: split {split!r} is not one of {SPLIT_NAMES}")
-        worlds.append(WorldSpec(world_id=wid, rule_indices=tuple(indices)))
-        world_splits[wid] = split
-    return Suite(config=config, rules=rules, worlds=worlds, world_splits=world_splits)
 
 
 def read_suite(path: str | Path) -> Suite:
@@ -270,20 +282,5 @@ def generate_suite_to_disk(
     results = map_worlds(_build_and_write, tasks, workers)
     out.mkdir(parents=True, exist_ok=True)
     sampling_info = {world.world_id: info for world, info in zip(selected, results)}
-    worlds_doc = [
-        {
-            "world_id": w.world_id,
-            "rule_indices": list(w.rule_indices),
-            "split": suite.world_splits[w.world_id],
-        }
-        for w in suite.worlds
-    ]
-    write_manifest(
-        out,
-        suite.config.to_dict(),
-        ruleset_to_dict(suite.rules),
-        worlds_doc,
-        similarity_matrix(suite.worlds),
-        protocol_orderings(suite),
-    )
+    write_manifest(out, manifest_doc(suite))
     return sampling_info

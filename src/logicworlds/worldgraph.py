@@ -87,10 +87,6 @@ class WorldGraph:
     edges: dict[tuple[NodeId, NodeId], RelationId]
     trace: list[tuple] = field(default_factory=list, compare=False, repr=False)
 
-    @property
-    def nodes(self) -> range:
-        return range(self.node_count)
-
     def edge_list(self) -> list[tuple[NodeId, RelationId, NodeId]]:
         return [(u, r, v) for (u, v), r in self.edges.items()]
 

@@ -27,6 +27,16 @@ def suite_dir(config_file, tmp_path_factory):
     return out
 
 
+def drop_last_world(manifest: dict) -> None:
+    """Drop the manifest's last world, and the world from similarity and protocols."""
+    last = manifest["worlds"].pop()["world_id"]
+    manifest["similarity"] = [row[:-1] for row in manifest["similarity"][:-1]]
+    protocols = manifest["protocols"]
+    for ids in (protocols["supervised"], protocols["continual"], *protocols["multitask"].values()):
+        if last in ids:
+            ids.remove(last)
+
+
 def corrupt_one_target(suite_dir, tmp_path):
     import shutil
 
@@ -278,6 +288,31 @@ class TestValidate:
         assert main([command, str(broken), "--world-id", "0", "--workers", "1"]) == 2
         assert f"{split_file}:2: bad instance record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "read_suite"])
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda record: record.update(note="x"), lambda record: record["query"].append(5)],
+        ids=["extra_key", "three_item_query"],
+    )
+    def test_instance_record_off_schema_is_format_error_with_location(
+        self, suite_dir, tmp_path, capsys, command, mutate
+    ):
+        broken = tmp_path / "off_schema"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        mutate(record)
+        lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        split_file.write_text("\n".join(lines) + "\n")
+        message = f"{split_file}:2: bad instance record"
+        if command == "read_suite":
+            with pytest.raises(SuiteFormatError, match=re.escape(message)):
+                read_suite(broken)
+        else:
+            assert main([command, str(broken), "--world-id", "0", "--workers", "1"]) == 2
+            assert message in capsys.readouterr().err
+
     # the altered copy of line 2 equals it, so with the copy second every
     # tuple it holds is already in the world's shared table
     @pytest.mark.parametrize("copy_first", [False, True], ids=["copy-second", "copy-first"])
@@ -335,6 +370,7 @@ class TestValidate:
             lambda doc: doc["config"].update(stride=1.5),
             lambda doc: doc["config"].update(seed=True),
             lambda doc: doc["rules"]["rules"][0].pop("head"),
+            lambda doc: doc.update(config=["seed"]),
         ],
         ids=[
             "worlds_not_a_list",
@@ -347,6 +383,7 @@ class TestValidate:
             "float_stride",
             "bool_seed",
             "master_rule_without_head",
+            "config_not_an_object",
         ],
     )
     def test_malformed_manifest_is_format_error_naming_it(
@@ -365,16 +402,36 @@ class TestValidate:
             read_suite(broken)
 
     @pytest.mark.parametrize(
-        "tamper",
+        "key, tamper",
         [
-            lambda doc: doc["similarity"][0].__setitem__(1, doc["similarity"][0][1] + 1),
-            lambda doc: doc["protocols"]["continual"].reverse(),
-            lambda doc: doc["similarity"][0].__setitem__(0, float(doc["similarity"][0][0])),
+            (
+                "similarity",
+                lambda doc: doc["similarity"][0].__setitem__(1, doc["similarity"][0][1] + 1),
+            ),
+            ("protocols", lambda doc: doc["protocols"]["continual"].reverse()),
+            (
+                "similarity",
+                lambda doc: doc["similarity"][0].__setitem__(0, float(doc["similarity"][0][0])),
+            ),
+            ("seed", lambda doc: doc.update(seed=doc["seed"] + 1)),
+            ("note", lambda doc: doc.update(note="x")),
+            ("worlds", lambda doc: doc["worlds"][0].update(note="x")),
+            ("rules", lambda doc: doc["rules"]["rules"][0].update(note="x")),
+            ("protocols", drop_last_world),  # the first key, in file order, that differs
         ],
-        ids=["similarity", "protocols", "similarity_as_float"],
+        ids=[
+            "similarity",
+            "protocols",
+            "similarity_as_float",
+            "seed_other_than_config",
+            "unknown_key",
+            "unknown_world_key",
+            "unknown_master_rule_key",
+            "last_world_dropped",
+        ],
     )
-    def test_manifest_not_derived_from_its_worlds_is_format_error(
-        self, suite_dir, tmp_path, capsys, tamper
+    def test_manifest_not_derived_from_its_config_and_rules_is_format_error(
+        self, suite_dir, tmp_path, capsys, key, tamper
     ):
         broken = tmp_path / "derived"
         shutil.copytree(suite_dir, broken)
@@ -382,10 +439,11 @@ class TestValidate:
         manifest = json.loads(manifest_file.read_text())
         tamper(manifest)
         manifest_file.write_text(json.dumps(manifest))
+        message = f"{manifest_file}: {key} is not the one its config and rules give"
         for command in ("validate", "solve", "stats"):
             assert main([command, str(broken)]) == 2, command
-            assert f"{manifest_file}:" in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(f"{manifest_file}:")):
+            assert message in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
             read_suite(broken)
 
     # 10.0 is the config's own bound written as a float
@@ -426,7 +484,8 @@ class TestValidate:
         manifest_file.write_text(json.dumps(manifest))
         rc = main(["validate", str(broken)])
         assert rc == 2
-        assert f"{manifest_file}: worlds[0] has no split" in capsys.readouterr().err
+        message = f"{manifest_file}: worlds is not the one its config and rules give"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
     # true and 1.0 equal the world's id 1 but are not integers

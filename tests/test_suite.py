@@ -1,10 +1,47 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicworlds import GenConfig, SuiteConfig, generate_suite, symbolic_baseline_solve
-from logicworlds.errors import ConfigError
-from logicworlds.suite import assign_world_splits, map_worlds, plan_suite
+from logicworlds.dataset_io import write_manifest
+from logicworlds.errors import ConfigError, SuiteFormatError
+from logicworlds.suite import (
+    Suite,
+    assign_world_splits,
+    manifest_doc,
+    map_worlds,
+    plan_suite,
+    read_plan,
+)
 
 from conftest import tiny_suite_config
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def json_paths(doc, path=()):
+    """Every path into a JSON document: the root's ``()``, then each key or index."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from json_paths(value, (*path, key))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def square_unless_odd(x: int) -> int:
@@ -71,3 +108,53 @@ class TestGenerateSuite:
         for ds in suite.datasets.values():
             assert {len(i.descriptor) for i in ds.all_instances()} == {2}
             assert symbolic_baseline_solve(ds.rules, ds) == 1.0
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest(tmp_path_factory):
+    """A directory holding the tiny suite's ``manifest.json``, and its text."""
+    path = tmp_path_factory.mktemp("plan")
+    write_manifest(path, manifest_doc(plan_suite(tiny_suite_config())))
+    return path, (path / "manifest.json").read_text()
+
+
+class TestReadPlan:
+    def test_reads_the_plan_it_wrote(self, tiny_manifest):
+        path, _ = tiny_manifest
+        assert read_plan(path) == plan_suite(tiny_suite_config())
+
+    # One mutation at any depth: drop a key or list item, add a key to an
+    # object, or replace a value by one of another type (bool, int and
+    # float count as three). Outside config and rules every manifest field
+    # is derived, so any mutation there must be refused.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_manifest_is_refused_naming_it_or_read(self, tiny_manifest, data):
+        path, text = tiny_manifest
+        doc = json.loads(text)
+        paths = list(json_paths(doc))
+        kind = data.draw(st.sampled_from(["drop", "add", "replace"]))
+        if kind == "drop":
+            where = data.draw(st.sampled_from(paths[1:]))
+            del at(doc, where[:-1])[where[-1]]
+        elif kind == "add":
+            parent = data.draw(st.sampled_from([p for p in paths if isinstance(at(doc, p), dict)]))
+            key = data.draw(st.text(max_size=3).filter(lambda k: k not in at(doc, parent)))
+            where = (*parent, key)
+            at(doc, parent)[key] = data.draw(json_values)
+        else:
+            where = data.draw(st.sampled_from(paths))
+            old = at(doc, where)
+            new = data.draw(json_values.filter(lambda v: type(v) is not type(old)))
+            if where:
+                at(doc, where[:-1])[where[-1]] = new
+            else:
+                doc = new
+        (path / "manifest.json").write_text(json.dumps(doc))
+        try:
+            suite = read_plan(path)
+        except SuiteFormatError as exc:
+            assert f"{path / 'manifest.json'}:" in str(exc)
+        else:
+            assert isinstance(suite, Suite)
+            assert where[:1] in (("config",), ("rules",)), (kind, where)
