@@ -18,12 +18,12 @@ with node ids dense per instance. One formatter,
 :func:`instance_to_json`, writes each line as the compact, key-sorted
 text ``json.dumps`` would give, without building the document first.
 
-A loaded world's instances share immutable tuples: :func:`read_world`
-parses every line of one world through one table, so equal edge
-triples, resolution paths and descriptors are one tuple object. Most of
-them repeat (world 0 of the seed-2026 ``instance-heavy`` plan holds
-25,606 edge triples, 3,337 of them distinct), and a loaded instance
-keeps about 550 bytes instead of about 1,940 (tracemalloc, CPython 3.11).
+Loaded instances share immutable tuples: :func:`read_world` parses
+every line through one share table, so equal edge triples, resolution
+paths and descriptors are one tuple object; ``suite.read_suite`` passes
+one table to all its worlds. Most tuples recur: plan 0 of the seed-2026
+``all-worlds-small`` benchmark holds 90,431 distinct edge triples summed
+over its worlds one by one, and 18,705 suite-wide.
 """
 
 from __future__ import annotations
@@ -238,13 +238,18 @@ def write_world(
     tmp.rename(final)
 
 
-def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dict]:
+def read_world(
+    path: Path, world_id: int, shared: dict | None = None
+) -> tuple[WorldGraph, WorldDataset, dict]:
     """Inverse of :func:`write_world`; returns (graph, dataset, stats doc).
 
     The dataset carries the world's rules; the stats doc is the parsed
     ``stats.json`` as stored. An instance line whose ``world_id`` is not
     ``world_id`` is a SuiteFormatError naming its file and line. Equal
-    tuples of the world's instances are one shared object.
+    tuples of the instances are one object of ``shared``, the share
+    table, which the caller may pass to several calls (a new one if
+    None). A tuple's items are type-checked once, when it enters the
+    table, so the outcome does not depend on which tuples it holds.
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
@@ -257,7 +262,7 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
         stats_file, itemgetter("max_walk_len", "sampling_info"), stats_doc
     )
     instances: dict[str, list[Instance]] = {}
-    shared: dict = {}  # one tuple per distinct edge, path and descriptor
+    shared = {} if shared is None else shared  # one tuple per distinct edge, path and descriptor
     for split in SPLIT_NAMES:
         file = world_path / f"{split}.jsonl"
         items = []
@@ -293,11 +298,12 @@ def read_world(path: Path, world_id: int) -> tuple[WorldGraph, WorldDataset, dic
 
 
 def read_checked_world(
-    path: Path, world_id: int, max_walk_len: int
+    path: Path, world_id: int, max_walk_len: int, shared: dict | None = None
 ) -> tuple[WorldGraph, WorldDataset, dict]:
-    """:func:`read_world`, refusing a ``stats.json`` whose ``max_walk_len`` is
-    not the manifest's integer ``max_walk_len``: a SuiteFormatError naming it."""
-    graph, ds, stats_doc = read_world(path, world_id)
+    """:func:`read_world` through the share table ``shared``, refusing a
+    ``stats.json`` whose ``max_walk_len`` is not the manifest's integer
+    ``max_walk_len``: a SuiteFormatError naming it."""
+    graph, ds, stats_doc = read_world(path, world_id, shared)
     if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:
         raise SuiteFormatError(
             f"{path / world_dir_name(world_id) / 'stats.json'}: max_walk_len "

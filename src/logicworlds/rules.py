@@ -289,9 +289,14 @@ def ruleset_to_dict(rules: RuleSet) -> dict:
 
 
 def ruleset_from_dict(data: dict) -> RuleSet:
-    alphabet = RelationAlphabet(size=data["K"], inverse=tuple(data["inverse"]))
-    rules = tuple(
-        BinaryRule(body=(r["body"][0], r["body"][1]), head=r["head"])
-        for r in data["rules"]
+    """Inverse of :func:`ruleset_to_dict`. ``K``, every ``inverse`` item and
+    each rule's two ``body`` items and ``head`` must be JSON integers (not a
+    bool or float equal to one), or TypeError is raised."""
+    size, inverse = data["K"], tuple(data["inverse"])
+    rules = tuple(  # unpacked, so a body of other than two ids is a ValueError
+        BinaryRule(body=(i, j), head=r["head"]) for r in data["rules"] for i, j in [r["body"]]
     )
-    return RuleSet(alphabet=alphabet, rules=rules)
+    for x in (size, *inverse, *(r for rule in rules for r in (*rule.body, rule.head))):
+        if type(x) is not int:
+            raise TypeError(f"relation id {x!r} is not an integer")
+    return RuleSet(alphabet=RelationAlphabet(size=size, inverse=inverse), rules=rules)

@@ -55,7 +55,7 @@ class DescriptorCollection:
         return list(seen)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A single relation-prediction query graph.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
@@ -196,7 +195,8 @@ def read_plan(path: str | Path) -> Suite:
 
 
 def read_suite(path: str | Path) -> Suite:
-    """Load a complete suite directory: its plan and every listed world.
+    """Load a complete suite directory: its plan and every listed world,
+    all through one share table, so equal tuples anywhere are one object.
 
     A listed world without its directory, or whose ``stats.json`` breaks
     the manifest's ``max_walk_len``, is a SuiteFormatError, as in
@@ -204,8 +204,9 @@ def read_suite(path: str | Path) -> Suite:
     """
     root = Path(path)
     suite = read_plan(root)
+    max_walk_len, shared = suite.config.gen.max_walk_len, {}
     for world in select_worlds(suite, None):
-        graph, dataset, _ = read_checked_world(root, world.world_id, suite.config.gen.max_walk_len)
+        graph, dataset, _ = read_checked_world(root, world.world_id, max_walk_len, shared)
         suite.graphs[world.world_id] = graph
         suite.datasets[world.world_id] = dataset
     return suite
@@ -234,6 +235,8 @@ def _map_in_pool(fn: Callable[..., T], tasks: list[tuple], workers: int) -> Iter
     # 0.2 s on 2 CPUs), and the pool launches its forked workers before
     # it starts its own manager thread. Tasks and results are pickled, so
     # ``fn`` works under spawn as well.
+    from concurrent.futures import ProcessPoolExecutor  # on use: it loads multiprocessing, ~2 MiB
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         try:

@@ -37,6 +37,34 @@ def drop_last_world(manifest: dict) -> None:
             ids.remove(last)
 
 
+def retype(container, key, kind) -> None:
+    container[key] = kind(container[key])
+
+
+# Each id keeps its value (true for a 1) or names it (a string): only its
+# JSON type is wrong.
+RELATION_ID_TAMPERING = [
+    (
+        "manifest.json",
+        "true_inverse_item",
+        lambda doc: retype(doc["rules"]["inverse"], doc["rules"]["inverse"].index(1), bool),
+    ),
+    ("manifest.json", "float_K", lambda doc: doc["rules"].update(K=float(doc["rules"]["K"]))),
+    (
+        "manifest.json",
+        "float_body_item",
+        lambda doc: retype(doc["rules"]["rules"][0]["body"], 0, float),
+    ),
+    ("manifest.json", "string_head", lambda doc: retype(doc["rules"]["rules"][0], "head", str)),
+    ("rule_0/rules.json", "string_head", lambda doc: retype(doc["rules"][0], "head", str)),
+    (
+        "rule_0/rules.json",
+        "true_inverse_item",
+        lambda doc: retype(doc["inverse"], doc["inverse"].index(1), bool),
+    ),
+]
+
+
 def corrupt_one_target(suite_dir, tmp_path):
     import shutil
 
@@ -401,6 +429,33 @@ class TestValidate:
         with pytest.raises(SuiteFormatError, match=re.escape(f"{manifest_file}:")):
             read_suite(broken)
 
+    # stats reads no rules.json
+    @pytest.mark.parametrize(
+        "name, tamper, command",
+        [
+            pytest.param(name, tamper, command, id=f"{name.split('/')[0]}-{kind}-{command}")
+            for name, kind, tamper in RELATION_ID_TAMPERING
+            for command in ("validate", "solve", "read_suite")
+            + (("stats",) if name == "manifest.json" else ())
+        ],
+    )
+    def test_relation_id_not_an_integer_is_format_error_naming_its_file(
+        self, suite_dir, tmp_path, capsys, name, tamper, command
+    ):
+        broken = tmp_path / "relation_id"
+        shutil.copytree(suite_dir, broken)
+        rules_file = broken / name
+        doc = json.loads(rules_file.read_text())
+        tamper(doc)
+        rules_file.write_text(json.dumps(doc))
+        message = f"{rules_file}: bad record (TypeError("
+        if command == "read_suite":
+            with pytest.raises(SuiteFormatError, match=re.escape(message) + ".*not an integer"):
+                read_suite(broken)
+        else:
+            assert main([command, str(broken)]) == 2
+            assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, tamper",
         [
@@ -514,9 +569,15 @@ class TestValidate:
         [
             ("stats.json", lambda doc: doc.pop("max_walk_len")),
             ("rules.json", lambda doc: doc["rules"][0].pop("head")),
+            ("rules.json", lambda doc: doc["rules"][0]["body"].append(0)),
             ("world_graph.json", lambda doc: doc["edges"][0].pop()),
         ],
-        ids=["stats_without_max_walk_len", "rule_without_head", "two_field_graph_edge"],
+        ids=[
+            "stats_without_max_walk_len",
+            "rule_without_head",
+            "three_id_rule_body",
+            "two_field_graph_edge",
+        ],
     )
     def test_malformed_world_file_is_format_error_naming_it(
         self, suite_dir, tmp_path, capsys, name, tamper

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import random
+import re
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from logicworlds.dataset_io import (
     read_world,
 )
 from logicworlds.errors import ConfigError, SuiteFormatError
-from logicworlds.sampler import Instance, WorldDataset
+from logicworlds.sampler import SPLIT_NAMES, Instance, WorldDataset
 from logicworlds.suite import generate_suite, generate_suite_to_disk, plan_suite, read_suite
 
 from conftest import tiny_suite_config
@@ -195,7 +197,7 @@ class TestSuiteRoundTrip:
 
     def test_world_shares_equal_tuples(self, small_suite):
         _, suite, path = small_suite
-        for world in suite.worlds:
+        for world in suite.worlds:  # read alone, a world shares its own tuples
             _, ds, _ = read_world(path, world.world_id)
             first, seen = {}, 0
             for inst in ds.all_instances():
@@ -203,6 +205,16 @@ class TestSuiteRoundTrip:
                     assert first.setdefault(value, value) is value
                     seen += 1
             assert len(first) < seen  # the world repeats some tuple
+        # read_suite shares one table across its worlds
+        first, worlds_of = {}, {}
+        for world_id, ds in read_suite(path).datasets.items():
+            for inst in ds.all_instances():
+                for kind, values in (("edge", inst.edges), ("descriptor", [inst.descriptor])):
+                    for value in values:
+                        assert first.setdefault(value, value) is value
+                        worlds_of.setdefault((kind, value), set()).add(world_id)
+        recurring = {kind for (kind, _), ids in worlds_of.items() if len(ids) > 1}
+        assert recurring == {"edge", "descriptor"}  # both recur in another world
 
     def test_layout(self, small_suite):
         _, suite, path = small_suite
@@ -265,3 +277,89 @@ class TestSuiteRoundTrip:
         target.write_text("\n".join(lines) + "\n")
         with pytest.raises(SuiteFormatError, match="train.jsonl:2"):
             read_suite(broken)
+
+
+INSTANCE_KEYS = ("descriptor", "edges", "query", "resolution_path", "target", "world_id")
+NOT_INTEGERS = (True, False, 1.0, "x", None, [], {})
+LINE_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("replace"),
+        st.sampled_from(INSTANCE_KEYS),
+        st.integers(0, 63),
+        st.sampled_from(NOT_INTEGERS),
+    ),
+    st.tuples(st.just("drop"), st.sampled_from(INSTANCE_KEYS)),
+    st.tuples(st.just("add"), st.text(max_size=3).filter(lambda key: key not in INSTANCE_KEYS)),
+    st.tuples(st.just("query"), st.sampled_from([1, 3])),
+)
+
+
+def integer_slot(doc: dict, key: str, k: int) -> tuple:
+    """Container and key of the ``k``-th integer (modulo their number) under ``key``."""
+    if key in ("target", "world_id"):
+        return doc, key
+    if key == "edges":
+        return doc["edges"][k // 3 % len(doc["edges"])], k % 3
+    return doc[key], k % len(doc[key])
+
+
+def mutate_line(doc: dict, mutation: tuple) -> None:
+    kind, *args = mutation
+    if kind == "replace":
+        container, key = integer_slot(doc, *args[:2])
+        container[key] = args[2]
+    elif kind == "drop":
+        del doc[args[0]]
+    elif kind == "add":
+        doc[args[0]] = 0
+    else:
+        doc["query"] = [*doc["query"], 0][: args[0]]
+
+
+@pytest.fixture(scope="module")
+def mutable_suite(small_suite, tmp_path_factory):
+    """A copy of the tiny suite whose lines a test may alter and restore."""
+    _, suite, path = small_suite
+    copy = tmp_path_factory.mktemp("mutable") / "suite"
+    shutil.copytree(path, copy)
+    ids = [w.world_id for w in suite.worlds]
+    # the example below: an earlier world holds the path of the last
+    # world's first test line, whose item 1 is node 1
+    line = (copy / f"rule_{ids[-1]}" / "test.jsonl").read_text().splitlines()[0]
+    held = tuple(json.loads(line)["resolution_path"])
+    assert held[1] == 1
+    earlier = [inst for wid in ids[:-1] for inst in suite.datasets[wid].all_instances()]
+    assert any(inst.resolution_path == held for inst in earlier)
+    return ids, copy
+
+
+class TestMalformedInstanceLine:
+    # One mutation of one line of one world: an integer replaced by another
+    # JSON type, a key dropped or added, or a query of one or three items.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        world=st.integers(0, 63),
+        split=st.sampled_from(SPLIT_NAMES),
+        line=st.integers(0, 63),
+        mutation=LINE_MUTATIONS,
+    )
+    # true equals the 1 of the path, so the altered tuple equals one the
+    # suite-wide table already holds
+    @example(world=-1, split="test", line=0, mutation=("replace", "resolution_path", 1, True))
+    def test_read_suite_refuses_it_naming_the_line(
+        self, mutable_suite, world, split, line, mutation
+    ):
+        ids, path = mutable_suite
+        file = path / f"rule_{ids[world % len(ids)]}" / f"{split}.jsonl"
+        text = file.read_text()
+        lines = text.splitlines()
+        index = line % len(lines)
+        doc = json.loads(lines[index])
+        mutate_line(doc, mutation)
+        lines[index] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        file.write_text("\n".join(lines) + "\n")
+        try:
+            with pytest.raises(SuiteFormatError, match=re.escape(f"{file}:{index + 1}: ")):
+                read_suite(path)
+        finally:
+            file.write_text(text)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logicworlds
 from logicworlds import GenConfig, SuiteConfig, generate_suite, symbolic_baseline_solve
 from logicworlds.dataset_io import write_manifest
 from logicworlds.errors import ConfigError, SuiteFormatError
@@ -67,6 +72,20 @@ class TestMapWorlds:
     def test_workers_below_one_is_config_error_before_any_call(self):
         with pytest.raises(ConfigError, match="workers"):
             map_worlds(square_unless_odd, [(3,)], 0)
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # a fresh interpreter: this one may have started a pool already
+        code = "import sys, logicworlds; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(logicworlds.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestWorldSplits:
