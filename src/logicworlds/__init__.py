@@ -43,7 +43,6 @@ from .rules import (
     generate_alphabet,
     generate_rules,
     invert_rule,
-    ruleset_from_dict,
     ruleset_to_dict,
     select_rules,
 )

@@ -28,21 +28,16 @@ from .dataset_io import (
     _parse,
     compute_stats,
     difficulty_bucket,
-    read_checked_world,
+    read_world,
     world_dir_name,
 )
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
+from .partition import WorldSpec
 from .resolver import symbolic_baseline_solve, validate_instance
 from .rules import RuleSet, select_rules
 from .sampler import SPLIT_NAMES
-from .suite import (
-    Suite,
-    generate_suite_to_disk,
-    map_worlds,
-    plan_suite,
-    read_plan,
-    select_worlds,
-)
+from .suite import Suite, generate_suite_to_disk, map_worlds, plan_suite, read_plan, select_worlds
+from .worldgraph import GenConfig
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -138,30 +133,29 @@ def _only(args) -> list[int] | None:
     return None if args.world_id is None else [args.world_id]
 
 
-def _planned_worlds(args) -> tuple[Suite, list[int]]:
-    """The suite's plan and the ids of the worlds the command covers."""
+def _planned_worlds(args) -> tuple[Suite, list[WorldSpec]]:
+    """The suite's plan and the worlds the command covers."""
     suite = read_plan(args.suite)
-    return suite, [w.world_id for w in select_worlds(suite, _only(args))]
+    return suite, select_worlds(suite, _only(args))
 
 
 VALIDATE_COUNTS = (
     "instances", "valid", "ambiguous", "shortcut_violations", "walk_len_violations",
-    "split_leaks", "stats_mismatch", "rules_mismatch",
+    "split_leaks", "stats_mismatch", "split_size_mismatch",
 )
 
 
 def validate_world(
-    path: Path, wid: int, split: str, rules: RuleSet, max_walk_len: int
+    path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig
 ) -> dict[str, int]:
-    """Certify one world: every instance, that each descriptor has 2 to
-    ``max_walk_len`` relations, that no descriptor is shared between its
-    train, valid and test splits (the inductive split), that its stored
-    stats equal the ones recomputed from its instances under the
-    manifest's ``split``, and that its ``rules.json`` holds ``rules``, the
-    manifest's slice of the master rules. ``split``, ``rules`` and
-    ``max_walk_len`` come from the manifest; a ``stats.json`` whose
-    ``max_walk_len`` is not that integer is a SuiteFormatError naming it."""
-    _, ds, stats_doc = read_checked_world(path, wid, max_walk_len)
+    """Certify one world, read against its plan (``read_world``): every
+    instance, that each descriptor has 2 to ``max_walk_len`` relations,
+    that no descriptor is shared between its train, valid and test splits
+    (the inductive split), that each split holds its ``graphs_per_split``
+    instances, and that its stored stats equal the ones recomputed from its
+    instances under the manifest's ``split``. ``split``, ``rules`` (the
+    world's slice of the master rules) and ``gen`` come from the plan."""
+    _, ds, stats_doc = read_world(path, wid, rules, gen.max_walk_len)
     instances = ds.all_instances()
     if not instances:
         raise SuiteFormatError(f"{path / world_dir_name(wid)}: world has no instances")
@@ -172,7 +166,7 @@ def validate_world(
         counts["valid"] += report.is_valid
         counts["ambiguous"] += report.ambiguous
         counts["shortcut_violations"] += not report.shortcut_free
-        counts["walk_len_violations"] += not 2 <= len(inst.descriptor) <= max_walk_len
+        counts["walk_len_violations"] += not 2 <= len(inst.descriptor) <= gen.max_walk_len
     train, valid, test = (
         {inst.descriptor for inst in ds.instances[name]} for name in SPLIT_NAMES
     )
@@ -181,28 +175,29 @@ def validate_world(
     counts["stats_mismatch"] = sum(
         stats_doc.get(key) != expected.get(key) for key in stats_doc.keys() | expected.keys()
     )
-    counts["rules_mismatch"] = int(ds.rules != rules)
+    counts["split_size_mismatch"] = sum(
+        len(ds.instances[name]) != size for name, size in zip(SPLIT_NAMES, gen.graphs_per_split)
+    )
     return counts
 
 
-def solve_world(path: Path, wid: int, max_walk_len: int) -> float | None:
-    """Baseline accuracy on one world, None when it has no instances.
-    Paths are searched up to ``max_walk_len``, the manifest's bound, which
-    the world's ``stats.json`` must repeat, as in ``validate``."""
-    _, ds, _ = read_checked_world(path, wid, max_walk_len)
+def solve_world(path: Path, wid: int, rules: RuleSet, max_walk_len: int) -> float | None:
+    """Baseline accuracy on one world, read against its plan (``read_world``),
+    None when it has no instances. Paths are searched up to ``max_walk_len``,
+    the manifest's bound."""
+    _, ds, _ = read_world(path, wid, rules, max_walk_len)
     return symbolic_baseline_solve(ds.rules, ds)
 
 
 def cmd_validate(args) -> int:
-    suite = read_plan(args.suite)
-    worlds = select_worlds(suite, _only(args))
+    suite, worlds = _planned_worlds(args)
     tasks = [
         (
             args.suite,
             w.world_id,
             suite.world_splits[w.world_id],
             select_rules(suite.rules, w.rule_indices),
-            suite.config.gen.max_walk_len,
+            suite.config.gen,
         )
         for w in worlds
     ]
@@ -220,36 +215,40 @@ def cmd_validate(args) -> int:
         and totals["walk_len_violations"] == 0
         and totals["split_leaks"] == 0
         and totals["stats_mismatch"] == 0
-        and totals["rules_mismatch"] == 0
+        and totals["split_size_mismatch"] == 0
     )
     return EXIT_OK if ok else EXIT_INVALID
 
 
 def cmd_solve(args) -> int:
-    suite, wids = _planned_worlds(args)
+    suite, worlds = _planned_worlds(args)
     max_walk_len = suite.config.gen.max_walk_len
-    tasks = [(args.suite, wid, max_walk_len) for wid in wids]
+    tasks = [
+        (args.suite, w.world_id, select_rules(suite.rules, w.rule_indices), max_walk_len)
+        for w in worlds
+    ]
     results = map_worlds(solve_world, tasks, args.workers)
     accuracies = []
-    for wid, accuracy in zip(wids, results):
+    for world, accuracy in zip(worlds, results):
         if accuracy is None:
-            print(f"rule_{wid} no-instances")
+            print(f"rule_{world.world_id} no-instances")
             continue
         accuracies.append(accuracy)
-        print(f"rule_{wid} {accuracy:.3f}")
+        print(f"rule_{world.world_id} {accuracy:.3f}")
     if accuracies:
         print(f"aggregate {sum(accuracies) / len(accuracies):.3f}")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    _, wids = _planned_worlds(args)
+    _, worlds = _planned_worlds(args)
     scores = _load_accuracy(args.accuracy) if args.accuracy else None
     header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
     if scores is not None:
         header.append("D")
     rows, columns = [], [[] for _ in STATS_KEYS]
-    for wid in wids:
+    for world in worlds:
+        wid = world.world_id
         stats_file = args.suite / world_dir_name(wid) / "stats.json"
         cells, values = _parse(stats_file, _stats_row, _load_json(stats_file))
         row = [f"rule_{wid}", *cells]

@@ -15,6 +15,12 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import ConfigError
 from .worldgraph import GenConfig
 
+# Planning grows about as K^3 (seconds of CPU for plan_suite at rules_per_world
+# 1, CPython 3.11 on a 2-CPU x86-64 VM: 0.04 at K = 32, 0.21 at 48, 0.55 at 64,
+# 1.32 at 80). Every command re-plans from a manifest's config, so the cap
+# bounds what a hostile num_relations can cost before any work starts.
+MAX_RELATIONS = 64
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -29,8 +35,8 @@ class SuiteConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.num_relations < 2:
-            raise ConfigError("num_relations must be at least 2")
+        if not 2 <= self.num_relations <= MAX_RELATIONS:
+            raise ConfigError(f"num_relations must lie in [2, {MAX_RELATIONS}]")
         if not 0.0 <= self.symmetric_fraction <= 1.0:
             raise ConfigError("symmetric_fraction must lie in [0, 1]")
         if self.rules_per_world < 1 or self.stride < 1:

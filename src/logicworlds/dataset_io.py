@@ -3,10 +3,10 @@
 On-disk layout of a suite (all JSON/JSONL, byte-deterministic given the
 config and seed):
 
-    <out>/manifest.json        suite.manifest_doc: resolved config, master
-                               rules, and what they give: world list +
-                               splits, similarity matrix, protocol orderings
-    <out>/rule_<id>/rules.json         the world's rule subset
+    <out>/manifest.json        suite.manifest_doc: resolved config and what
+                               it gives: master rules, world list + splits,
+                               similarity matrix, protocol orderings
+    <out>/rule_<id>/rules.json         the world's slice of the master rules
     <out>/rule_<id>/world_graph.json   {"nodes": n, "edges": [[u, r, v], ...]}
     <out>/rule_<id>/{train,valid,test}.jsonl   one instance per line
     <out>/rule_<id>/stats.json         compute_stats: NC/ND/ARL/AN/AE + sampling info
@@ -36,7 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, SuiteFormatError
-from .rules import RelationId, ruleset_from_dict, ruleset_to_dict
+from .rules import RelationId, RuleSet, ruleset_to_dict
 from .sampler import SPLIT_NAMES, Instance, WorldDataset
 from .worldgraph import WorldGraph, worldgraph_from_dict, worldgraph_to_json
 
@@ -164,6 +164,24 @@ def _parse(path: Path, parse, doc):
         raise SuiteFormatError(f"{path}: bad record ({exc!r})")
 
 
+def _require_derived(path: Path, found, derived: dict) -> None:
+    """Refuse ``found``, a document parsed from ``path``, unless it is the
+    object ``derived`` that the writer renders there: a SuiteFormatError
+    naming the file and the first key, in sorted order, that differs."""
+    if not isinstance(found, dict):
+        raise SuiteFormatError(f"{path}: not a JSON object")
+    for key in sorted(found.keys() | derived.keys()):
+        if key not in found or key not in derived or not _same_json(found[key], derived[key]):
+            raise SuiteFormatError(f"{path}: {key} is not the one the suite config gives")
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON text, so 6.0 or true does not pass for 6 or 1. Equal
+    reprs (which keep them apart too) are the quick test; canonical text,
+    blind to key order, decides."""
+    return repr(a) == repr(b) or json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def world_dir_name(world_id: int) -> str:
     return f"rule_{world_id}"
 
@@ -239,28 +257,38 @@ def write_world(
 
 
 def read_world(
-    path: Path, world_id: int, shared: dict | None = None
+    path: Path, world_id: int, rules: RuleSet, max_walk_len: int, shared: dict | None = None
 ) -> tuple[WorldGraph, WorldDataset, dict]:
     """Inverse of :func:`write_world`; returns (graph, dataset, stats doc).
 
-    The dataset carries the world's rules; the stats doc is the parsed
-    ``stats.json`` as stored. An instance line whose ``world_id`` is not
-    ``world_id`` is a SuiteFormatError naming its file and line. Equal
-    tuples of the instances are one object of ``shared``, the share
-    table, which the caller may pass to several calls (a new one if
-    None). A tuple's items are type-checked once, when it enters the
-    table, so the outcome does not depend on which tuples it holds.
+    The world is read against its plan: ``rules`` is its slice of the
+    master rules, ``select_rules(plan.rules, world.rule_indices)``, and
+    ``max_walk_len`` the manifest config's. Its ``rules.json`` must be
+    ``ruleset_to_dict(rules)`` and its ``stats.json`` must state that
+    integer ``max_walk_len``; anything else is a SuiteFormatError naming
+    the file (and the first key of ``rules.json`` that differs). The
+    dataset carries ``rules``; the stats doc is the parsed ``stats.json``
+    as stored. An instance line whose ``world_id`` is not ``world_id`` is
+    a SuiteFormatError naming its file and line. Equal tuples of the
+    instances are one object of ``shared``, the share table, which the
+    caller may pass to several calls (a new one if None). A tuple's items
+    are type-checked once, when it enters the table, so the outcome does
+    not depend on which tuples it holds.
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
-    world_rules = _parse(rules_file, ruleset_from_dict, _load_json(rules_file))
+    _require_derived(rules_file, _load_json(rules_file), ruleset_to_dict(rules))
     graph_file = world_path / "world_graph.json"
     graph = _parse(graph_file, worldgraph_from_dict, _load_json(graph_file))
     stats_file = world_path / "stats.json"
     stats_doc = _load_json(stats_file)
-    max_walk_len, sampling_info = _parse(
+    stats_walk_len, sampling_info = _parse(
         stats_file, itemgetter("max_walk_len", "sampling_info"), stats_doc
     )
+    if type(stats_walk_len) is not int or stats_walk_len != max_walk_len:
+        raise SuiteFormatError(
+            f"{stats_file}: max_walk_len {stats_walk_len!r} is not the manifest's {max_walk_len}"
+        )
     instances: dict[str, list[Instance]] = {}
     shared = {} if shared is None else shared  # one tuple per distinct edge, path and descriptor
     for split in SPLIT_NAMES:
@@ -292,23 +320,8 @@ def read_world(
         instances=instances,
         max_walk_len=max_walk_len,
         sampling_info=sampling_info,
-        rules=world_rules,
+        rules=rules,
     )
-    return graph, ds, stats_doc
-
-
-def read_checked_world(
-    path: Path, world_id: int, max_walk_len: int, shared: dict | None = None
-) -> tuple[WorldGraph, WorldDataset, dict]:
-    """:func:`read_world` through the share table ``shared``, refusing a
-    ``stats.json`` whose ``max_walk_len`` is not the manifest's integer
-    ``max_walk_len``: a SuiteFormatError naming it."""
-    graph, ds, stats_doc = read_world(path, world_id, shared)
-    if type(ds.max_walk_len) is not int or ds.max_walk_len != max_walk_len:
-        raise SuiteFormatError(
-            f"{path / world_dir_name(world_id) / 'stats.json'}: max_walk_len "
-            f"{ds.max_walk_len!r} is not the manifest's {max_walk_len}"
-        )
     return graph, ds, stats_doc
 
 
@@ -330,7 +343,6 @@ __all__ = [
     "extend_graph",
     "instance_from_dict",
     "instance_to_json",
-    "read_checked_world",
     "read_manifest",
     "read_world",
     "world_dir_name",

@@ -174,9 +174,9 @@ def generate_rules(alphabet: RelationAlphabet, rng: random.Random) -> RuleSet:
         groups[gid] = None
 
     for i, j, k in candidates:
-        rule = BinaryRule(body=(i, j), head=k)
-        if rule.body in body_to_group:
+        if (i, j) in body_to_group:  # most bodies are taken: skip before building a rule
             continue
+        rule = BinaryRule(body=(i, j), head=k)
         inverse = invert_rule(rule, alphabet)
         if inverse == rule:
             install([rule])
@@ -286,17 +286,3 @@ def ruleset_to_dict(rules: RuleSet) -> dict:
             for rule in rules.rules
         ],
     }
-
-
-def ruleset_from_dict(data: dict) -> RuleSet:
-    """Inverse of :func:`ruleset_to_dict`. ``K``, every ``inverse`` item and
-    each rule's two ``body`` items and ``head`` must be JSON integers (not a
-    bool or float equal to one), or TypeError is raised."""
-    size, inverse = data["K"], tuple(data["inverse"])
-    rules = tuple(  # unpacked, so a body of other than two ids is a ValueError
-        BinaryRule(body=(i, j), head=r["head"]) for r in data["rules"] for i, j in [r["body"]]
-    )
-    for x in (size, *inverse, *(r for rule in rules for r in (*rule.body, rule.head))):
-        if type(x) is not int:
-            raise TypeError(f"relation id {x!r} is not an integer")
-    return RuleSet(alphabet=RelationAlphabet(size=size, inverse=inverse), rules=rules)

@@ -9,7 +9,6 @@ sub-seeds, so they can be built in any order or in parallel.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,17 +16,17 @@ from typing import TypeVar
 
 from . import seeds
 from .config import SuiteConfig, config_from_dict
-from .dataset_io import _parse, read_checked_world, read_manifest, write_manifest, write_world
-from .errors import ConfigError, SuiteFormatError
-from .partition import WorldSpec, partition_rules, rule_windows, similarity_matrix
-from .rules import (
-    RuleSet,
-    generate_alphabet,
-    generate_rules,
-    ruleset_from_dict,
-    ruleset_to_dict,
-    select_rules,
+from .dataset_io import (
+    _parse,
+    _require_derived,
+    read_manifest,
+    read_world,
+    write_manifest,
+    write_world,
 )
+from .errors import ConfigError
+from .partition import WorldSpec, partition_rules, similarity_matrix
+from .rules import RuleSet, generate_alphabet, generate_rules, ruleset_to_dict, select_rules
 from .sampler import WorldDataset, build_dataset
 from .worldgraph import WorldGraph, generate_world_graph
 
@@ -45,26 +44,23 @@ class Suite:
 
 
 def plan_suite(config: SuiteConfig) -> Suite:
-    """Build rules and the world partition; no per-world generation yet."""
+    """Build rules and the world partition; no per-world generation yet.
+
+    The one source of a suite's rules: the writer plans here, and
+    :func:`read_plan` re-plans from the manifest's ``config``.
+    """
     alphabet = generate_alphabet(
         config.num_relations,
         seeds.rng_for(config.seed, seeds.TAG_ALPHABET),
         config.symmetric_fraction,
     )
     master = generate_rules(alphabet, seeds.rng_for(config.seed, seeds.TAG_RULES))
-    rules, _ = partition_rules(
+    rules, worlds = partition_rules(
         master,
         config.rules_per_world,
         config.stride,
         seeds.rng_for(config.seed, seeds.TAG_PARTITION),
     )
-    return _plan(config, rules)
-
-
-def _plan(config: SuiteConfig, rules: RuleSet) -> Suite:
-    """The plan of ``config`` over its permuted master ``rules``; the writer
-    and :func:`read_plan` both derive the worlds and their splits here."""
-    worlds = rule_windows(len(rules), config.rules_per_world, config.stride)
     world_splits = assign_world_splits(
         [w.world_id for w in worlds], config.valid_worlds, config.test_worlds
     )
@@ -141,7 +137,7 @@ def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> S
 
 def manifest_doc(suite: Suite) -> dict:
     """The plan's ``manifest.json`` document, the one statement of its format:
-    ``config``, the permuted master ``rules`` and what they give (``seed``,
+    ``config`` and what it gives (``seed``, the permuted master ``rules``,
     ``worlds`` with splits, ``similarity``, the ``protocols`` orderings)."""
     config = suite.config.to_dict()
     ids = [w.world_id for w in suite.worlds]
@@ -171,26 +167,15 @@ def manifest_doc(suite: Suite) -> dict:
 def read_plan(path: str | Path) -> Suite:
     """Parse a suite's ``manifest.json`` into its plan; load no world.
 
-    The one manifest parser: it parses ``config`` and ``rules`` and derives
-    the rest of the plan as :func:`plan_suite` does. A malformed ``config``
-    or ``rules``, or any manifest but that plan's :func:`manifest_doc`, is a
+    The one manifest parser: it parses only ``config`` and takes the plan
+    from :func:`plan_suite`. A malformed ``config``, or any manifest but
+    that plan's :func:`manifest_doc` (master ``rules`` included), is a
     SuiteFormatError naming the file (and the first key that differs).
     """
     file = Path(path) / "manifest.json"
     manifest = read_manifest(file.parent)
-    suite = _parse(
-        file,
-        lambda doc: _plan(config_from_dict(doc["config"]), ruleset_from_dict(doc["rules"])),
-        manifest,
-    )
-    # compared as JSON text, so 6.0 or true does not pass for 6 or 1
-    found, derived = (
-        {key: json.dumps(value, sort_keys=True) for key, value in doc.items()}
-        for doc in (manifest, manifest_doc(suite))
-    )
-    for key in sorted(found.keys() | derived.keys()):
-        if found.get(key) != derived.get(key):
-            raise SuiteFormatError(f"{file}: {key} is not the one its config and rules give")
+    suite = _parse(file, lambda doc: plan_suite(config_from_dict(doc["config"])), manifest)
+    _require_derived(file, manifest, manifest_doc(suite))
     return suite
 
 
@@ -198,15 +183,17 @@ def read_suite(path: str | Path) -> Suite:
     """Load a complete suite directory: its plan and every listed world,
     all through one share table, so equal tuples anywhere are one object.
 
-    A listed world without its directory, or whose ``stats.json`` breaks
-    the manifest's ``max_walk_len``, is a SuiteFormatError, as in
+    Each world is read by ``read_world`` against the plan: a listed world
+    without its directory, or whose ``rules.json`` or ``stats.json``
+    ``max_walk_len`` breaks the manifest, is a SuiteFormatError, as in
     ``validate``; read one world of a partial suite with ``read_world``.
     """
     root = Path(path)
     suite = read_plan(root)
     max_walk_len, shared = suite.config.gen.max_walk_len, {}
     for world in select_worlds(suite, None):
-        graph, dataset, _ = read_checked_world(root, world.world_id, max_walk_len, shared)
+        rules = select_rules(suite.rules, world.rule_indices)
+        graph, dataset, _ = read_world(root, world.world_id, rules, max_walk_len, shared)
         suite.graphs[world.world_id] = graph
         suite.datasets[world.world_id] = dataset
     return suite

@@ -1,13 +1,15 @@
 import json
 import re
 import shutil
+import time
 
 import pytest
 
 from logicworlds.cli import main
 from logicworlds.dataset_io import compute_stats, read_world
 from logicworlds.errors import SuiteFormatError
-from logicworlds.suite import plan_suite, read_suite
+from logicworlds.rules import select_rules
+from logicworlds.suite import plan_suite, read_plan, read_suite
 
 from conftest import tiny_suite_config
 
@@ -42,27 +44,65 @@ def retype(container, key, kind) -> None:
 
 
 # Each id keeps its value (true for a 1) or names it (a string): only its
-# JSON type is wrong.
+# JSON type is wrong. The third item is the key the refusal names.
 RELATION_ID_TAMPERING = [
     (
         "manifest.json",
         "true_inverse_item",
+        "rules",
         lambda doc: retype(doc["rules"]["inverse"], doc["rules"]["inverse"].index(1), bool),
     ),
-    ("manifest.json", "float_K", lambda doc: doc["rules"].update(K=float(doc["rules"]["K"]))),
+    (
+        "manifest.json",
+        "float_K",
+        "rules",
+        lambda doc: doc["rules"].update(K=float(doc["rules"]["K"])),
+    ),
     (
         "manifest.json",
         "float_body_item",
+        "rules",
         lambda doc: retype(doc["rules"]["rules"][0]["body"], 0, float),
     ),
-    ("manifest.json", "string_head", lambda doc: retype(doc["rules"]["rules"][0], "head", str)),
-    ("rule_0/rules.json", "string_head", lambda doc: retype(doc["rules"][0], "head", str)),
+    (
+        "manifest.json",
+        "string_head",
+        "rules",
+        lambda doc: retype(doc["rules"]["rules"][0], "head", str),
+    ),
+    (
+        "rule_0/rules.json",
+        "string_head",
+        "rules",
+        lambda doc: retype(doc["rules"][0], "head", str),
+    ),
     (
         "rule_0/rules.json",
         "true_inverse_item",
+        "inverse",
         lambda doc: retype(doc["inverse"], doc["inverse"].index(1), bool),
     ),
 ]
+
+
+def not_derived(file, key) -> str:
+    """The refusal of a derived file whose ``key`` differs from what the config gives."""
+    return f"{file}: {key} is not the one the suite config gives"
+
+
+def recompute_world_0_stats(suite_dir) -> None:
+    """Re-write world 0's ``stats.json`` from its instances as they now are."""
+    plan = read_plan(suite_dir)
+    rules = select_rules(plan.rules, plan.worlds[0].rule_indices)
+    _, ds, stats_doc = read_world(suite_dir, 0, rules, plan.config.gen.max_walk_len)
+    stats_doc = compute_stats(ds, stats_doc["split"])
+    (suite_dir / "rule_0" / "stats.json").write_text(json.dumps(stats_doc))
+
+
+def new_last_head(manifest: dict) -> None:
+    """Give the manifest's last master rule another head."""
+    rule = manifest["rules"]["rules"][-1]
+    rule["head"] = (rule["head"] + 1) % manifest["rules"]["K"]
 
 
 def corrupt_one_target(suite_dir, tmp_path):
@@ -227,11 +267,8 @@ class TestValidate:
         rule["head"] = (rule["head"] + 1) % doc["K"]
         rules_file.write_text(json.dumps(doc))
         rc = main(["validate", str(broken)])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["rules_mismatch"] == 1
-        assert report["worlds"]["rule_0"]["rules_mismatch"] == 1
-        assert all(w["rules_mismatch"] == 0 for n, w in report["worlds"].items() if n != "rule_0")
+        assert rc == 2
+        assert not_derived(rules_file, "rules") in capsys.readouterr().err
 
     def test_one_relation_descriptor_fails(self, suite_dir, tmp_path, capsys):
         # the line certifies (its one edge is its own resolution) and the
@@ -245,9 +282,7 @@ class TestValidate:
         }
         with open(broken / "rule_0" / "test.jsonl", "a") as test_file:
             test_file.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-        _, ds, stats_doc = read_world(broken, 0)
-        stats_doc = compute_stats(ds, stats_doc["split"])
-        (broken / "rule_0" / "stats.json").write_text(json.dumps(stats_doc))
+        recompute_world_0_stats(broken)
         rc = main(["validate", str(broken), "--world-id", "0"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
@@ -431,16 +466,16 @@ class TestValidate:
 
     # stats reads no rules.json
     @pytest.mark.parametrize(
-        "name, tamper, command",
+        "name, key, tamper, command",
         [
-            pytest.param(name, tamper, command, id=f"{name.split('/')[0]}-{kind}-{command}")
-            for name, kind, tamper in RELATION_ID_TAMPERING
+            pytest.param(name, key, tamper, command, id=f"{name.split('/')[0]}-{kind}-{command}")
+            for name, kind, key, tamper in RELATION_ID_TAMPERING
             for command in ("validate", "solve", "read_suite")
             + (("stats",) if name == "manifest.json" else ())
         ],
     )
     def test_relation_id_not_an_integer_is_format_error_naming_its_file(
-        self, suite_dir, tmp_path, capsys, name, tamper, command
+        self, suite_dir, tmp_path, capsys, name, key, tamper, command
     ):
         broken = tmp_path / "relation_id"
         shutil.copytree(suite_dir, broken)
@@ -448,9 +483,9 @@ class TestValidate:
         doc = json.loads(rules_file.read_text())
         tamper(doc)
         rules_file.write_text(json.dumps(doc))
-        message = f"{rules_file}: bad record (TypeError("
+        message = not_derived(rules_file, key)
         if command == "read_suite":
-            with pytest.raises(SuiteFormatError, match=re.escape(message) + ".*not an integer"):
+            with pytest.raises(SuiteFormatError, match=re.escape(message)):
                 read_suite(broken)
         else:
             assert main([command, str(broken)]) == 2
@@ -473,6 +508,10 @@ class TestValidate:
             ("worlds", lambda doc: doc["worlds"][0].update(note="x")),
             ("rules", lambda doc: doc["rules"]["rules"][0].update(note="x")),
             ("protocols", drop_last_world),  # the first key, in file order, that differs
+            # both give another number of worlds, so protocols is the first to differ
+            ("protocols", lambda doc: doc["config"].update(num_relations=9)),
+            ("protocols", lambda doc: doc["config"].update(symmetric_fraction=0.55)),
+            ("rules", new_last_head),  # the tiny suite's last master rule lies in no world
         ],
         ids=[
             "similarity",
@@ -483,6 +522,9 @@ class TestValidate:
             "unknown_world_key",
             "unknown_master_rule_key",
             "last_world_dropped",
+            "num_relations_other_than_its_rules",
+            "symmetric_fraction_other_than_its_rules",
+            "head_of_rule_in_no_world",
         ],
     )
     def test_manifest_not_derived_from_its_config_and_rules_is_format_error(
@@ -494,7 +536,7 @@ class TestValidate:
         manifest = json.loads(manifest_file.read_text())
         tamper(manifest)
         manifest_file.write_text(json.dumps(manifest))
-        message = f"{manifest_file}: {key} is not the one its config and rules give"
+        message = not_derived(manifest_file, key)
         for command in ("validate", "solve", "stats"):
             assert main([command, str(broken)]) == 2, command
             assert message in capsys.readouterr().err, command
@@ -539,7 +581,7 @@ class TestValidate:
         manifest_file.write_text(json.dumps(manifest))
         rc = main(["validate", str(broken)])
         assert rc == 2
-        message = f"{manifest_file}: worlds is not the one its config and rules give"
+        message = not_derived(manifest_file, "worlds")
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
@@ -591,6 +633,97 @@ class TestValidate:
         rc = main(["validate", str(broken)])
         assert rc == 2
         assert f"{world_file}:" in capsys.readouterr().err
+
+
+def tampered_copy(suite_dir, tmp_path, name, tamper):
+    """A copy of the suite whose JSON file ``name`` is re-written after ``tamper``."""
+    broken = tmp_path / "tampered"
+    shutil.copytree(suite_dir, broken)
+    file = broken / name
+    doc = json.loads(file.read_text())
+    tamper(doc)
+    file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return broken, file
+
+
+class TestConfigIsTheOneSource:
+    """A world's rules come from its manifest ``config`` alone: every reader
+    takes them from the plan and refuses a ``rules.json`` that states other
+    rules, naming the file and the first key that differs."""
+
+    @pytest.mark.parametrize(
+        "name, key, tamper",
+        [
+            ("rule_0/rules.json", "note", lambda doc: doc.update(note="x")),
+            ("rule_0/rules.json", "rules", lambda doc: doc["rules"][0].update(note="x")),
+            (
+                "rule_0/rules.json",
+                "rules",
+                lambda doc: doc["rules"][0].update(head=(doc["rules"][0]["head"] + 1) % doc["K"]),
+            ),
+        ],
+        ids=["note", "rule_note", "head"],
+    )
+    def test_rules_json_other_than_the_config_gives_is_refused(
+        self, suite_dir, tmp_path, capsys, name, key, tamper
+    ):
+        broken, file = tampered_copy(suite_dir, tmp_path, name, tamper)
+        message = not_derived(file, key)
+        for command in ("validate", "solve"):
+            assert main([command, str(broken), "--workers", "1"]) == 2, command
+            assert message in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
+            read_suite(broken)
+
+    def test_rules_json_not_an_object_is_refused(self, suite_dir, tmp_path, capsys):
+        broken, file = tampered_copy(suite_dir, tmp_path, "rule_0/rules.json", lambda doc: None)
+        file.write_text("[]\n")
+        assert main(["solve", str(broken), "--world-id", "0"]) == 2
+        assert f"{file}: not a JSON object" in capsys.readouterr().err
+
+    def test_huge_num_relations_is_refused_before_planning(self, suite_dir, tmp_path, capsys):
+        broken, file = tampered_copy(
+            suite_dir, tmp_path, "manifest.json", lambda doc: doc["config"].update(num_relations=10_000)
+        )
+        for command in ("validate", "solve"):
+            start = time.perf_counter()
+            assert main([command, str(broken), "--workers", "1"]) == 2, command
+            assert time.perf_counter() - start < 5, command
+            assert f"{file}: bad record (ConfigError('num_relations" in capsys.readouterr().err
+        with pytest.raises(SuiteFormatError, match=re.escape(f"{file}: ")):
+            read_suite(broken)
+
+
+class TestInstanceCounts:
+    """Each split of each world holds the manifest's ``graphs_per_split``."""
+
+    def test_manifest_count_other_than_the_worlds_hold_fails(self, suite_dir, tmp_path, capsys):
+        def one_more_train_instance(doc):
+            doc["config"]["graphs_per_split"][0] += 1
+
+        broken, _ = tampered_copy(suite_dir, tmp_path, "manifest.json", one_more_train_instance)
+        rc = main(["validate", str(broken)])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["valid"] == report["instances"]
+        assert report["stats_mismatch"] == 0
+        assert all(w["split_size_mismatch"] == 1 for w in report["worlds"].values())
+        assert report["split_size_mismatch"] == len(report["worlds"])
+
+    def test_dropped_lines_with_stats_recomputed_fail(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "dropped"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        assert len(lines) == 20
+        split_file.write_text("\n".join(lines[:15]) + "\n")
+        recompute_world_0_stats(broken)
+        rc = main(["validate", str(broken), "--world-id", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["instances"] == report["valid"] == 25
+        assert report["stats_mismatch"] == 0
+        assert report["worlds"]["rule_0"]["split_size_mismatch"] == 1
 
 
 class TestSolve:

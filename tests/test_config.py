@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from logicworlds.cli import main
-from logicworlds.config import SuiteConfig, config_from_dict
+from logicworlds.config import MAX_RELATIONS, SuiteConfig, config_from_dict
 from logicworlds.errors import ConfigError
 from logicworlds.worldgraph import GenConfig
 
@@ -86,6 +87,14 @@ def test_a_bool_text_or_null_number_is_a_config_error(config, key, value):
     doc[key] = value
     with pytest.raises(ConfigError, match=f"config key '{key}'"):
         config_from_dict(doc)
+
+
+def test_num_relations_is_bounded_before_any_planning():
+    assert SuiteConfig(num_relations=MAX_RELATIONS).num_relations == MAX_RELATIONS
+    for num_relations in (1, MAX_RELATIONS + 1):
+        message = f"num_relations must lie in [2, {MAX_RELATIONS}]"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SuiteConfig(num_relations=num_relations)
 
 
 def test_an_int_is_a_valid_float():

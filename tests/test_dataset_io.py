@@ -18,6 +18,7 @@ from logicworlds.dataset_io import (
     read_world,
 )
 from logicworlds.errors import ConfigError, SuiteFormatError
+from logicworlds.rules import select_rules
 from logicworlds.sampler import SPLIT_NAMES, Instance, WorldDataset
 from logicworlds.suite import generate_suite, generate_suite_to_disk, plan_suite, read_suite
 
@@ -196,9 +197,10 @@ class TestSuiteRoundTrip:
         assert loaded == suite
 
     def test_world_shares_equal_tuples(self, small_suite):
-        _, suite, path = small_suite
+        config, suite, path = small_suite
         for world in suite.worlds:  # read alone, a world shares its own tuples
-            _, ds, _ = read_world(path, world.world_id)
+            rules = select_rules(suite.rules, world.rule_indices)
+            _, ds, _ = read_world(path, world.world_id, rules, config.gen.max_walk_len)
             first, seen = {}, 0
             for inst in ds.all_instances():
                 for value in (*inst.edges, inst.resolution_path, inst.descriptor):

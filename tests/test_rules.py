@@ -11,7 +11,6 @@ from logicworlds.rules import (
     generate_alphabet,
     generate_rules,
     invert_rule,
-    ruleset_from_dict,
     ruleset_to_dict,
 )
 
@@ -187,6 +186,8 @@ class TestSerialization:
         doc = ruleset_to_dict(rules)
         assert set(doc) == {"K", "inverse", "rules"}
         assert all(set(r) == {"body", "head"} for r in doc["rules"])
-        back = ruleset_from_dict(doc)
-        assert back.alphabet == rules.alphabet
-        assert back.rules == rules.rules
+        # readers compare rules.json with this document; none parses it back
+        assert (doc["K"], doc["inverse"]) == (alpha.size, list(alpha.inverse))
+        assert [(tuple(r["body"]), r["head"]) for r in doc["rules"]] == [
+            (rule.body, rule.head) for rule in rules.rules
+        ]
