@@ -9,6 +9,7 @@ change log.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,12 +18,19 @@ from pathlib import Path
 import pytest
 
 from logicworlds.config import SuiteConfig
+from logicworlds.rules import generate_alphabet, generate_rules, ruleset_to_dict
+from logicworlds.seeds import TAG_ALPHABET, TAG_RULES, rng_for
 from logicworlds.suite import generate_suite_to_disk, plan_suite
 from logicworlds.worldgraph import GenConfig
 
 GOLDEN_CONFIG = SuiteConfig(seed=5, stride=10, gen=GenConfig(graphs_per_split=(20, 5, 5)))
 GOLDEN_WORLDS = [0, 13]  # first (train) and last (test) world of the 14
 GOLDEN_SHA256 = "c3c321229fe7fc852eb6e9bbdea87a0aa70911b755658c31a175a85f6c0652d5"
+
+# The golden suite plans only K = 20; rule generation is pinned across alphabet sizes.
+GOLDEN_RULE_SIZES = (3, 5, 12, 20, 33, 48)
+GOLDEN_RULE_SEEDS = range(5)
+GOLDEN_RULES_SHA256 = "57bcf7b638053e4cb29a0f29c2db043999f4558f483fcb86dd08a2c3078b6678"
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
@@ -41,6 +49,16 @@ def test_tiny_suite_tree_matches_golden_digest(tmp_path):
     info = generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
     assert sorted(info) == GOLDEN_WORLDS
     assert tree_sha256(tmp_path) == GOLDEN_SHA256
+
+
+def test_generated_rules_match_golden_digest():
+    digest = hashlib.sha256()
+    for k in GOLDEN_RULE_SIZES:
+        for seed in GOLDEN_RULE_SEEDS:
+            alphabet = generate_alphabet(k, rng_for(seed, TAG_ALPHABET))
+            doc = ruleset_to_dict(generate_rules(alphabet, rng_for(seed, TAG_RULES)))
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_RULES_SHA256
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "987654"])
