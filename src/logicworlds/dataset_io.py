@@ -32,7 +32,6 @@ import enum
 import json
 import shutil
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, SuiteFormatError
@@ -257,19 +256,22 @@ def write_world(
 
 
 def read_world(
-    path: Path, world_id: int, rules: RuleSet, max_walk_len: int, shared: dict | None = None
-) -> tuple[WorldGraph, WorldDataset, dict]:
-    """Inverse of :func:`write_world`; returns (graph, dataset, stats doc).
+    path: Path, world_id: int, rules: RuleSet, max_walk_len: int, split: str,
+    shared: dict | None = None,
+) -> tuple[WorldGraph, WorldDataset]:
+    """Inverse of :func:`write_world`; returns (graph, dataset).
 
     The world is read against its plan: ``rules`` is its slice of the
-    master rules, ``select_rules(plan.rules, world.rule_indices)``, and
-    ``max_walk_len`` the manifest config's. Its ``rules.json`` must be
-    ``ruleset_to_dict(rules)`` and its ``stats.json`` must state that
-    integer ``max_walk_len``; anything else is a SuiteFormatError naming
-    the file (and the first key of ``rules.json`` that differs). The
-    dataset carries ``rules``; the stats doc is the parsed ``stats.json``
-    as stored. An instance line whose ``world_id`` is not ``world_id`` is
-    a SuiteFormatError naming its file and line. Equal tuples of the
+    master rules, ``select_rules(plan.rules, world.rule_indices)``,
+    ``max_walk_len`` the manifest config's and ``split`` the world's
+    split in the manifest. Its ``rules.json`` must be
+    ``ruleset_to_dict(rules)``, it must hold instances, and its
+    ``stats.json`` must be ``compute_stats(dataset, split)`` of what was
+    read, ``sampling_info`` taken from the file; anything else is a
+    SuiteFormatError naming the file (and the first key that differs).
+    The dataset carries ``rules``. An instance line that breaks the schema,
+    holds ``true`` or ``false``, or whose ``world_id`` is not ``world_id``
+    is a SuiteFormatError naming its file and line. Equal tuples of the
     instances are one object of ``shared``, the share table, which the
     caller may pass to several calls (a new one if None). A tuple's items
     are type-checked once, when it enters the table, so the outcome does
@@ -282,17 +284,10 @@ def read_world(
     graph = _parse(graph_file, worldgraph_from_dict, _load_json(graph_file))
     stats_file = world_path / "stats.json"
     stats_doc = _load_json(stats_file)
-    stats_walk_len, sampling_info = _parse(
-        stats_file, itemgetter("max_walk_len", "sampling_info"), stats_doc
-    )
-    if type(stats_walk_len) is not int or stats_walk_len != max_walk_len:
-        raise SuiteFormatError(
-            f"{stats_file}: max_walk_len {stats_walk_len!r} is not the manifest's {max_walk_len}"
-        )
     instances: dict[str, list[Instance]] = {}
     shared = {} if shared is None else shared  # one tuple per distinct edge, path and descriptor
-    for split in SPLIT_NAMES:
-        file = world_path / f"{split}.jsonl"
+    for name in SPLIT_NAMES:
+        file = world_path / f"{name}.jsonl"
         items = []
         try:
             text = file.read_text()
@@ -302,10 +297,9 @@ def read_world(
             if not line.strip():
                 continue
             try:
+                if "true" in line or "false" in line:  # a bool equals 1 or 0; never written
+                    raise ValueError("true or false in an instance line")
                 doc = _decode_instance_line(line)
-                if "true" in line or "false" in line:  # a bool equals 1 or 0: check all
-                    for item in (*doc["edges"], doc["resolution_path"], doc["descriptor"]):
-                        _share(tuple(item), {})
                 items.append(instance_from_dict(doc, shared))
                 line_world = doc["world_id"]
             except (KeyError, IndexError, ValueError, TypeError) as exc:
@@ -314,15 +308,18 @@ def read_world(
                 raise SuiteFormatError(
                     f"{file}:{lineno}: instance of world {line_world!r} in world {world_id}"
                 )
-        instances[split] = items
+        instances[name] = items
+    if not any(instances.values()):
+        raise SuiteFormatError(f"{world_path}: world has no instances")
     ds = WorldDataset(
         world_id=world_id,
         instances=instances,
         max_walk_len=max_walk_len,
-        sampling_info=sampling_info,
+        sampling_info=stats_doc.get("sampling_info") if isinstance(stats_doc, dict) else None,
         rules=rules,
     )
-    return graph, ds, stats_doc
+    _require_derived(stats_file, stats_doc, compute_stats(ds, split))
+    return graph, ds
 
 
 def write_manifest(path: Path, doc: dict) -> None:

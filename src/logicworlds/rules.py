@@ -189,13 +189,16 @@ def generate_rules(alphabet: RelationAlphabet, rng: random.Random) -> RuleSet:
             install([rule, inverse])
 
     kept: list[BinaryRule] = []
-    arcs: set[tuple[RelationId, RelationId]] = set()
-    for group in groups:
-        if group is None:
-            continue
-        new_arcs = {arc for rule in group for arc in rule.arcs()}
-        if _is_acyclic(K, arcs | new_arcs):
-            arcs |= new_arcs
+    out: list[set[RelationId]] = [set() for _ in range(K)]  # the kept arcs, acyclic
+    for group in filter(None, groups):
+        new_arcs = {(a, b) for rule in group for a, b in rule.arcs() if b not in out[a]}
+        for a, b in new_arcs:
+            out[a].add(b)
+        # a cycle now runs through a new arc: its head reaches its tail
+        if any(_reaches(out, b, a) for a, b in new_arcs):
+            for a, b in new_arcs:
+                out[a].discard(b)
+        else:
             kept.extend(group)
 
     if not kept:
@@ -203,6 +206,19 @@ def generate_rules(alphabet: RelationAlphabet, rng: random.Random) -> RuleSet:
             f"alphabet of {K} relations yielded an empty rule set", stacklevel=2
         )
     return RuleSet(alphabet=alphabet, rules=tuple(kept))
+
+
+def _reaches(out: list[set[int]], source: int, target: int) -> bool:
+    """Whether a path of arcs ``out`` leads from ``source`` to ``target``."""
+    stack, seen = [source], {source}
+    while stack:
+        v = stack.pop()
+        if v == target:
+            return True
+        ahead = out[v] - seen
+        seen |= ahead
+        stack.extend(ahead)
+    return False
 
 
 def _is_acyclic(n: int, arcs: set[tuple[int, int]]) -> bool:

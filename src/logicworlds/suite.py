@@ -184,18 +184,20 @@ def read_suite(path: str | Path) -> Suite:
     all through one share table, so equal tuples anywhere are one object.
 
     Each world is read by ``read_world`` against the plan: a listed world
-    without its directory, or whose ``rules.json`` or ``stats.json``
-    ``max_walk_len`` breaks the manifest, is a SuiteFormatError, as in
-    ``validate``; read one world of a partial suite with ``read_world``.
+    without its directory or instances, or whose ``rules.json`` or
+    ``stats.json`` is not the one the plan and its instances give, is a
+    SuiteFormatError, as in ``validate`` and ``solve``; read one world of a
+    partial suite with ``read_world``.
     """
     root = Path(path)
     suite = read_plan(root)
     max_walk_len, shared = suite.config.gen.max_walk_len, {}
     for world in select_worlds(suite, None):
+        wid = world.world_id
         rules = select_rules(suite.rules, world.rule_indices)
-        graph, dataset, _ = read_world(root, world.world_id, rules, max_walk_len, shared)
-        suite.graphs[world.world_id] = graph
-        suite.datasets[world.world_id] = dataset
+        suite.graphs[wid], suite.datasets[wid] = read_world(
+            root, wid, rules, max_walk_len, suite.world_splits[wid], shared
+        )
     return suite
 
 

@@ -6,10 +6,10 @@ import time
 import pytest
 
 from logicworlds.cli import main
-from logicworlds.dataset_io import compute_stats, read_world
+from logicworlds.dataset_io import compute_stats, instance_from_dict
 from logicworlds.errors import SuiteFormatError
-from logicworlds.rules import select_rules
-from logicworlds.suite import plan_suite, read_plan, read_suite
+from logicworlds.sampler import SPLIT_NAMES, WorldDataset
+from logicworlds.suite import plan_suite, read_suite
 
 from conftest import tiny_suite_config
 
@@ -91,12 +91,25 @@ def not_derived(file, key) -> str:
 
 
 def recompute_world_0_stats(suite_dir) -> None:
-    """Re-write world 0's ``stats.json`` from its instances as they now are."""
-    plan = read_plan(suite_dir)
-    rules = select_rules(plan.rules, plan.worlds[0].rule_indices)
-    _, ds, stats_doc = read_world(suite_dir, 0, rules, plan.config.gen.max_walk_len)
-    stats_doc = compute_stats(ds, stats_doc["split"])
-    (suite_dir / "rule_0" / "stats.json").write_text(json.dumps(stats_doc))
+    """Re-write world 0's ``stats.json`` from its instances as they now are,
+    keeping its ``split``, ``max_walk_len`` and ``sampling_info``."""
+    world_dir = suite_dir / "rule_0"
+    old = json.loads((world_dir / "stats.json").read_text())
+    shared = {}
+    instances = {
+        split: [
+            instance_from_dict(json.loads(line), shared)
+            for line in (world_dir / f"{split}.jsonl").read_text().splitlines()
+        ]
+        for split in SPLIT_NAMES
+    }
+    ds = WorldDataset(
+        world_id=0,
+        instances=instances,
+        max_walk_len=old["max_walk_len"],
+        sampling_info=old["sampling_info"],
+    )
+    (world_dir / "stats.json").write_text(json.dumps(compute_stats(ds, old["split"])))
 
 
 def new_last_head(manifest: dict) -> None:
@@ -116,6 +129,7 @@ def corrupt_one_target(suite_dir, tmp_path):
     record["target"] = (record["target"] + 1) % 8
     lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     target_file.write_text("\n".join(lines) + "\n")
+    recompute_world_0_stats(broken)  # the stats may count the new target as a class
     return broken
 
 
@@ -237,6 +251,7 @@ class TestValidate:
         train_line = (broken / "rule_0" / "train.jsonl").read_text().splitlines()[0]
         with open(broken / "rule_0" / "test.jsonl", "a") as test_file:
             test_file.write(train_line + "\n")
+        recompute_world_0_stats(broken)
         rc = main(["validate", str(broken)])
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
@@ -244,19 +259,19 @@ class TestValidate:
         assert report["worlds"]["rule_0"]["split_leaks"] == 1
         assert report["split_leaks"] == 1
 
-    def test_tampered_stats_fail(self, suite_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_tampered_stats_fail(self, suite_dir, tmp_path, capsys, command):
         broken = tmp_path / "stats"
         shutil.copytree(suite_dir, broken)
         stats_file = broken / "rule_0" / "stats.json"
         doc = json.loads(stats_file.read_text())
         doc["avg_nodes"] = 99.5
         stats_file.write_text(json.dumps(doc))
-        rc = main(["validate", str(broken)])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["valid"] == report["instances"]
-        assert report["worlds"]["rule_0"]["stats_mismatch"] == 1
-        assert report["stats_mismatch"] == 1
+        rc = main([command, str(broken)])
+        assert rc == 2
+        assert not_derived(stats_file, "avg_nodes") in capsys.readouterr().err
+        with pytest.raises(SuiteFormatError, match=re.escape(not_derived(stats_file, "avg_nodes"))):
+            read_suite(broken)
 
     def test_tampered_rules_fail(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "rules"
@@ -287,7 +302,7 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert report["valid"] == report["instances"]
-        assert report["stats_mismatch"] == report["split_leaks"] == 0
+        assert report["split_leaks"] == 0
         assert report["walk_len_violations"] == 1
         assert report["worlds"]["rule_0"]["walk_len_violations"] == 1
 
@@ -296,9 +311,13 @@ class TestValidate:
         shutil.copytree(suite_dir, broken)
         for split in ("train", "valid", "test"):
             (broken / "rule_0" / f"{split}.jsonl").write_text("")
-        rc = main(["validate", str(broken)])
-        assert rc == 2
-        assert f"{broken / 'rule_0'}: world has no instances" in capsys.readouterr().err
+        message = f"{broken / 'rule_0'}: world has no instances"
+        for command in ("validate", "solve"):
+            rc = main([command, str(broken)])
+            assert rc == 2, command
+            assert message in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
+            read_suite(broken)
 
     def test_two_field_edge_is_format_error_with_location(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "short_edge"
@@ -585,12 +604,18 @@ class TestValidate:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
-    # true and 1.0 equal the world's id 1 but are not integers
+    # true and 1.0 equal the world's id 1 but are not integers; no line may hold true
     @pytest.mark.parametrize(
-        "world_id, shown", [(0, "0"), (True, "True"), (1.0, "'1.0'")], ids=["0", "true", "1.0"]
+        "world_id, refusal",
+        [
+            (0, "instance of world 0 in world 1"),
+            (True, "bad instance record (true or false in an instance line)"),
+            (1.0, "instance of world '1.0' in world 1"),
+        ],
+        ids=["0", "true", "1.0"],
     )
     def test_instance_of_another_world_is_format_error(
-        self, suite_dir, tmp_path, capsys, command, world_id, shown
+        self, suite_dir, tmp_path, capsys, command, world_id, refusal
     ):
         broken = tmp_path / "moved_instance"
         shutil.copytree(suite_dir, broken)
@@ -600,7 +625,7 @@ class TestValidate:
         record["world_id"] = world_id
         lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         split_file.write_text("\n".join(lines) + "\n")
-        message = f"{split_file}:2: instance of world {shown} in world 1"
+        message = f"{split_file}:2: {refusal}"
         assert main([command, str(broken)]) == 2
         assert message in capsys.readouterr().err
         with pytest.raises(SuiteFormatError, match=re.escape(message)):
@@ -694,6 +719,60 @@ class TestConfigIsTheOneSource:
             read_suite(broken)
 
 
+def _plus_one(*keys):
+    def tamper(doc):
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        doc[last] += 1
+
+    return tamper
+
+
+class TestStatsAreDerived:
+    """``stats.json`` is ``compute_stats`` of the world's instances under its
+    manifest split (``sampling_info`` aside): ``validate``, ``solve`` and
+    ``read_suite`` all refuse any other, naming the file and the first key
+    that differs."""
+
+    @pytest.mark.parametrize(
+        "key, tamper",
+        [
+            *(
+                (key, _plus_one(key))
+                for key in (
+                    "world_id", "num_classes", "num_descriptors", "avg_resolution_length",
+                    "avg_nodes", "avg_edges", "max_walk_len",
+                )
+            ),
+            *(("instances", _plus_one("instances", split)) for split in SPLIT_NAMES),
+            ("split", lambda doc: doc.update(split="test")),
+            ("max_walk_len", lambda doc: doc.update(max_walk_len=10.0)),
+        ],
+        ids=[
+            "world_id", "num_classes", "num_descriptors", "avg_resolution_length", "avg_nodes",
+            "avg_edges", "max_walk_len", *(f"instances_{split}" for split in SPLIT_NAMES),
+            "split", "float_max_walk_len",
+        ],
+    )
+    def test_every_reader_refuses_other_stats(self, suite_dir, tmp_path, capsys, key, tamper):
+        broken, stats_file = tampered_copy(suite_dir, tmp_path, "rule_0/stats.json", tamper)
+        message = not_derived(stats_file, key)
+        for command in ("validate", "solve"):
+            assert main([command, str(broken), "--world-id", "0"]) == 2, command
+            assert message in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
+            read_suite(broken)
+
+    def test_stats_not_an_object_is_refused(self, suite_dir, tmp_path, capsys):
+        broken = tmp_path / "stats_list"
+        shutil.copytree(suite_dir, broken)
+        stats_file = broken / "rule_0" / "stats.json"
+        stats_file.write_text("[]\n")
+        assert main(["solve", str(broken), "--world-id", "0"]) == 2
+        assert f"{stats_file}: not a JSON object" in capsys.readouterr().err
+
+
 class TestInstanceCounts:
     """Each split of each world holds the manifest's ``graphs_per_split``."""
 
@@ -706,7 +785,6 @@ class TestInstanceCounts:
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert report["valid"] == report["instances"]
-        assert report["stats_mismatch"] == 0
         assert all(w["split_size_mismatch"] == 1 for w in report["worlds"].values())
         assert report["split_size_mismatch"] == len(report["worlds"])
 
@@ -722,7 +800,6 @@ class TestInstanceCounts:
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert report["instances"] == report["valid"] == 25
-        assert report["stats_mismatch"] == 0
         assert report["worlds"]["rule_0"]["split_size_mismatch"] == 1
 
 

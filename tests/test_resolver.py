@@ -11,6 +11,7 @@ from logicworlds.resolver import (
     instance_adjacency,
     iter_simple_path_labels,
     resolve_descriptor,
+    solve_instance,
     symbolic_baseline_solve,
     validate_instance,
 )
@@ -336,6 +337,41 @@ class TestValidateInstanceReference:
             "unreachable", "longer", "shortcut", "shortcut-free consistent",
             "shortcut-free inconsistent", "source is sink", "self-loop", "pair with two labels",
         }
+
+
+def reference_candidates(rules, inst, max_len) -> set:
+    """Every relation some simple source->sink path of at most ``max_len``
+    edges resolves to, by the recursive walk and the brute-force resolver."""
+    resolved = set()
+    for labels in reference_simple_path_labels(inst.edges, inst.source, inst.sink, max_len):
+        resolved |= brute_force_resolve(rules, labels)
+    return resolved
+
+
+class TestSolveInstanceReference:
+    @settings(max_examples=400, deadline=None)
+    @given(certification_cases(), st.integers(1, 6))
+    def test_prediction_is_the_least_relation_a_bounded_path_resolves_to(self, case, max_len):
+        rules, inst = case
+        resolved = reference_candidates(rules, inst, max_len)
+        assert solve_instance(rules, inst, max_len) == (min(resolved) if resolved else None)
+
+    def test_cases_reach_every_outcome(self):
+        # no candidate, one, a tie broken toward the least id, and a bound
+        # that cuts off a candidate some longer path gives
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(certification_cases(), st.integers(1, 6))
+        def classify(case, max_len):
+            rules, inst = case
+            resolved = reference_candidates(rules, inst, max_len)
+            seen.add(("none", "one")[len(resolved)] if len(resolved) < 2 else "tie")
+            if reference_candidates(rules, inst, 6) - resolved:
+                seen.add("cut by the bound")
+
+        classify()
+        assert seen == {"none", "one", "tie", "cut by the bound"}
 
 
 def single_world_dataset(instances) -> WorldDataset:
