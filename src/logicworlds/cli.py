@@ -134,7 +134,7 @@ def _only(args) -> list[int] | None:
 
 def _planned_worlds(args) -> tuple[list[WorldSpec], list[tuple]]:
     """The worlds the command covers, each with its task for ``validate_world``
-    and ``solve_world``: suite dir, world id, split, rules and gen of the plan."""
+    or ``solve_world``: suite dir, world id, split, rules and gen of the plan."""
     suite = read_plan(args.suite)
     worlds = select_worlds(suite, _only(args))
     return worlds, [
@@ -219,7 +219,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    worlds, _ = _planned_worlds(args)
+    worlds = select_worlds(read_plan(args.suite), _only(args))
     scores = _load_accuracy(args.accuracy) if args.accuracy else None
     header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
     if scores is not None:

@@ -259,18 +259,18 @@ class TestValidate:
         assert report["worlds"]["rule_0"]["split_leaks"] == 1
         assert report["split_leaks"] == 1
 
-    @pytest.mark.parametrize("command", ["validate", "solve"])
-    def test_tampered_stats_fail(self, suite_dir, tmp_path, capsys, command):
+    def test_tampered_stats_fail(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "stats"
         shutil.copytree(suite_dir, broken)
         stats_file = broken / "rule_0" / "stats.json"
         doc = json.loads(stats_file.read_text())
         doc["avg_nodes"] = 99.5
         stats_file.write_text(json.dumps(doc))
-        rc = main([command, str(broken)])
-        assert rc == 2
-        assert not_derived(stats_file, "avg_nodes") in capsys.readouterr().err
-        with pytest.raises(SuiteFormatError, match=re.escape(not_derived(stats_file, "avg_nodes"))):
+        message = not_derived(stats_file, "avg_nodes")
+        for command in ("validate", "solve"):
+            assert main([command, str(broken)]) == 2, command
+            assert message in capsys.readouterr().err, command
+        with pytest.raises(SuiteFormatError, match=re.escape(message)):
             read_suite(broken)
 
     def test_tampered_rules_fail(self, suite_dir, tmp_path, capsys):
@@ -720,6 +720,8 @@ class TestConfigIsTheOneSource:
 
 
 def _plus_one(*keys):
+    """A tamper that adds 1 to the number found under ``keys``."""
+
     def tamper(doc):
         *outer, last = keys
         for key in outer:
