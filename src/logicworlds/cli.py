@@ -23,18 +23,11 @@ import sys
 from pathlib import Path
 
 from .config import SuiteConfig, load_config
-from .dataset_io import (
-    _load_json,
-    _parse,
-    difficulty_bucket,
-    read_world,
-    world_dir_name,
-)
+from .dataset_io import _load_json, compute_stats, difficulty_bucket, read_world
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .partition import WorldSpec
 from .resolver import symbolic_baseline_solve, validate_instance
 from .rules import RuleSet, select_rules
-from .sampler import SPLIT_NAMES
 from .suite import generate_suite_to_disk, map_worlds, plan_suite, read_plan, select_worlds
 from .worldgraph import GenConfig
 
@@ -133,8 +126,9 @@ def _only(args) -> list[int] | None:
 
 
 def _planned_worlds(args) -> tuple[list[WorldSpec], list[tuple]]:
-    """The worlds the command covers, each with its task for ``validate_world``
-    or ``solve_world``: suite dir, world id, split, rules and gen of the plan."""
+    """The worlds the command covers, each with its task for ``validate_world``,
+    ``solve_world`` or ``stats_world``: suite dir, world id, split, rules and
+    gen of the plan, all that ``read_world`` needs to read the world."""
     suite = read_plan(args.suite)
     worlds = select_worlds(suite, _only(args))
     return worlds, [
@@ -144,23 +138,19 @@ def _planned_worlds(args) -> tuple[list[WorldSpec], list[tuple]]:
     ]
 
 
-VALIDATE_COUNTS = (
-    "instances", "valid", "ambiguous", "shortcut_violations", "walk_len_violations",
-    "split_leaks", "split_size_mismatch",
-)
+VALIDATE_COUNTS = ("instances", "valid", "ambiguous", "shortcut_violations")
 
 
 def validate_world(
     path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig
 ) -> dict[str, int]:
-    """Certify one world, read against its plan (``read_world``, which
-    refuses stats that are not the ones its instances give): every
-    instance, that each descriptor has 2 to ``max_walk_len`` relations,
-    that no descriptor is shared between its train, valid and test splits
-    (the inductive split), and that each split holds its
-    ``graphs_per_split`` instances. ``split``, ``rules`` (the world's slice
-    of the master rules) and ``gen`` come from the plan."""
-    _, ds = read_world(path, wid, rules, gen.max_walk_len, split)
+    """Certify every instance of one world. The world is read against its
+    plan by ``read_world``, which refuses what the plan could not give:
+    other rules or stats, a descriptor of other than 2 to ``max_walk_len``
+    relations or shared between splits, and a split of other than its
+    ``graphs_per_split`` instances. ``split``, ``rules`` (the world's
+    slice of the master rules) and ``gen`` come from the plan."""
+    _, ds = read_world(path, wid, rules, gen, split)
     counts = dict.fromkeys(VALIDATE_COUNTS, 0)
     for inst in ds.all_instances():
         report = validate_instance(ds.rules, inst)
@@ -168,14 +158,6 @@ def validate_world(
         counts["valid"] += report.is_valid
         counts["ambiguous"] += report.ambiguous
         counts["shortcut_violations"] += not report.shortcut_free
-        counts["walk_len_violations"] += not 2 <= len(inst.descriptor) <= gen.max_walk_len
-    train, valid, test = (
-        {inst.descriptor for inst in ds.instances[name]} for name in SPLIT_NAMES
-    )
-    counts["split_leaks"] = len((train & valid) | (train & test) | (valid & test))
-    counts["split_size_mismatch"] = sum(
-        len(ds.instances[name]) != size for name, size in zip(SPLIT_NAMES, gen.graphs_per_split)
-    )
     return counts
 
 
@@ -183,8 +165,16 @@ def solve_world(path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig
     """Baseline accuracy on one world, read against its plan (``read_world``;
     ``split``, ``rules`` and ``gen`` as for ``validate_world``). Paths are
     searched up to ``gen.max_walk_len``, the manifest's bound."""
-    _, ds = read_world(path, wid, rules, gen.max_walk_len, split)
+    _, ds = read_world(path, wid, rules, gen, split)
     return symbolic_baseline_solve(ds.rules, ds)
+
+
+def stats_world(path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig) -> dict:
+    """One world's ``stats.json`` document, ``compute_stats`` of the world
+    read against its plan (``read_world``; arguments as for
+    ``validate_world``), so ``stats`` prints only what every reader takes."""
+    _, ds = read_world(path, wid, rules, gen, split)
+    return compute_stats(ds, split)
 
 
 def cmd_validate(args) -> int:
@@ -197,13 +187,7 @@ def cmd_validate(args) -> int:
         for key in totals:
             totals[key] += counts[key]
     print(json.dumps({**totals, "worlds": per_world}, indent=2, sort_keys=True))
-    ok = (
-        totals["valid"] == totals["instances"]
-        and totals["walk_len_violations"] == 0
-        and totals["split_leaks"] == 0
-        and totals["split_size_mismatch"] == 0
-    )
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if totals["valid"] == totals["instances"] else EXIT_INVALID
 
 
 def cmd_solve(args) -> int:
@@ -213,60 +197,51 @@ def cmd_solve(args) -> int:
     for world, accuracy in zip(worlds, results):
         accuracies.append(accuracy)
         print(f"rule_{world.world_id} {accuracy:.3f}")
-    if accuracies:
-        print(f"aggregate {sum(accuracies) / len(accuracies):.3f}")
-    return EXIT_OK
-
-
-def cmd_stats(args) -> int:
-    worlds = select_worlds(read_plan(args.suite), _only(args))
-    scores = _load_accuracy(args.accuracy) if args.accuracy else None
-    header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
-    if scores is not None:
-        header.append("D")
-    rows, columns = [], [[] for _ in STATS_KEYS]
-    for world in worlds:
-        wid = world.world_id
-        stats_file = args.suite / world_dir_name(wid) / "stats.json"
-        cells, values = _parse(stats_file, _stats_row, _load_json(stats_file))
-        row = [f"rule_{wid}", *cells]
-        for column, value in zip(columns, values):
-            column.append(value)
-        if scores is not None:
-            acc = scores.get(wid)
-            row.append(difficulty_bucket(acc).label if acc is not None else "-")
-        rows.append(row)
-    if rows:
-        agg_row = ["AGG", "", *(f"{sum(c) / len(c):.2f}" for c in columns)]
-        if scores is not None:
-            agg_row.append("")
-        rows.append(agg_row)
-    _print_table(header, rows)
+    print(f"aggregate {sum(accuracies) / len(accuracies):.3f}")
     return EXIT_OK
 
 
 STATS_KEYS = ("num_classes", "num_descriptors", "avg_resolution_length", "avg_nodes", "avg_edges")
 
 
-def _stats_row(doc: dict) -> tuple[list[str], list[float]]:
-    """Table cells and NC/ND/ARL/AN/AE values of one world's stats.json."""
-    split = doc["split"]
-    values = [doc[key] for key in STATS_KEYS]
-    for key, value in zip(STATS_KEYS, values):
-        if not isinstance(value, (int, float)):
-            raise TypeError(f"{key} is not a number: {value!r}")
-    nc, nd, arl, an, ae = values
-    return [str(split), str(nc), str(nd), f"{arl:.2f}", f"{an:.3f}", f"{ae:.3f}"], values
+def cmd_stats(args) -> int:
+    worlds, tasks = _planned_worlds(args)
+    scores = _load_accuracy(args.accuracy) if args.accuracy else None
+    header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
+    if scores is not None:
+        header.append("D")
+    rows, columns = [], [[] for _ in STATS_KEYS]
+    for world, doc in zip(worlds, map_worlds(stats_world, tasks, _usable_cpus())):
+        values = [doc[key] for key in STATS_KEYS]
+        for column, value in zip(columns, values):
+            column.append(value)
+        nc, nd, arl, an, ae = values
+        row = [f"rule_{world.world_id}", doc["split"], str(nc), str(nd),
+               f"{arl:.2f}", f"{an:.3f}", f"{ae:.3f}"]
+        if scores is not None:
+            acc = scores.get(world.world_id)
+            row.append(difficulty_bucket(acc).label if acc is not None else "-")
+        rows.append(row)
+    agg_row = ["AGG", "", *(f"{sum(c) / len(c):.2f}" for c in columns)]
+    if scores is not None:
+        agg_row.append("")
+    _print_table(header, [*rows, agg_row])
+    return EXIT_OK
 
 
 def _load_accuracy(path: Path) -> dict[int, float]:
+    """World id -> accuracy from a JSON object whose keys are ``rule_<n>``
+    or ``<n>`` (``n`` in ASCII digits) and whose values are JSON numbers;
+    anything else is a ConfigError naming the file."""
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: accuracy file must map world names to numbers")
     scores = {}
-    try:
-        for key, value in doc.items():
-            scores[int(key.removeprefix("rule_"))] = float(value)
-    except (AttributeError, ValueError) as exc:
-        raise ConfigError(f"{path}: accuracy file must map world names to floats ({exc})")
+    for key, value in doc.items():
+        digits = key.removeprefix("rule_")
+        if not (digits.isascii() and digits.isdigit()) or type(value) not in (int, float):
+            raise ConfigError(f"{path}: {key!r}: {value!r} is not a world name and an accuracy")
+        scores[int(digits)] = value
     return scores
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from .errors import ConfigError, SuiteFormatError
 from .rules import RelationId, RuleSet, ruleset_to_dict
 from .sampler import SPLIT_NAMES, Instance, WorldDataset
-from .worldgraph import WorldGraph, worldgraph_from_dict, worldgraph_to_json
+from .worldgraph import GenConfig, WorldGraph, worldgraph_from_dict, worldgraph_to_json
 
 EASY_THRESHOLD = 0.70
 MEDIUM_THRESHOLD = 0.54
@@ -171,7 +171,7 @@ def _require_derived(path: Path, found, derived: dict) -> None:
         raise SuiteFormatError(f"{path}: not a JSON object")
     for key in sorted(found.keys() | derived.keys()):
         if key not in found or key not in derived or not _same_json(found[key], derived[key]):
-            raise SuiteFormatError(f"{path}: {key} is not the one the suite config gives")
+            raise SuiteFormatError(f"{path}: {key} is not the one the writer would write")
 
 
 def _same_json(a, b) -> bool:
@@ -256,26 +256,30 @@ def write_world(
 
 
 def read_world(
-    path: Path, world_id: int, rules: RuleSet, max_walk_len: int, split: str,
+    path: Path, world_id: int, rules: RuleSet, gen: GenConfig, split: str,
     shared: dict | None = None,
 ) -> tuple[WorldGraph, WorldDataset]:
     """Inverse of :func:`write_world`; returns (graph, dataset).
 
     The world is read against its plan: ``rules`` is its slice of the
     master rules, ``select_rules(plan.rules, world.rule_indices)``,
-    ``max_walk_len`` the manifest config's and ``split`` the world's
-    split in the manifest. Its ``rules.json`` must be
-    ``ruleset_to_dict(rules)``, it must hold instances, and its
-    ``stats.json`` must be ``compute_stats(dataset, split)`` of what was
-    read, ``sampling_info`` taken from the file; anything else is a
-    SuiteFormatError naming the file (and the first key that differs).
-    The dataset carries ``rules``. An instance line that breaks the schema,
-    holds ``true`` or ``false``, or whose ``world_id`` is not ``world_id``
-    is a SuiteFormatError naming its file and line. Equal tuples of the
-    instances are one object of ``shared``, the share table, which the
-    caller may pass to several calls (a new one if None). A tuple's items
-    are type-checked once, when it enters the table, so the outcome does
-    not depend on which tuples it holds.
+    ``gen`` the manifest config's and ``split`` the world's split in the
+    manifest. Everything the plan fixes is required, and anything else is
+    a SuiteFormatError naming the file (and the line, or the first key
+    that differs):
+    - ``rules.json`` must be ``ruleset_to_dict(rules)``;
+    - each instance line must keep the schema, hold no ``true`` or
+      ``false``, be of world ``world_id``, have a descriptor of 2 to
+      ``gen.max_walk_len`` relations, and share no descriptor with an
+      earlier split of the world (the inductive split);
+    - each split file must hold its ``gen.graphs_per_split`` instances;
+    - ``stats.json`` must be ``compute_stats(dataset, split)`` of what was
+      read, ``sampling_info`` taken from the file.
+    The dataset carries ``rules``. Equal tuples of the instances are one
+    object of ``shared``, the share table, which the caller may pass to
+    several calls (a new one if None). A tuple's items are type-checked
+    once, when it enters the table, so the outcome does not depend on
+    which tuples it holds.
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
@@ -286,7 +290,9 @@ def read_world(
     stats_doc = _load_json(stats_file)
     instances: dict[str, list[Instance]] = {}
     shared = {} if shared is None else shared  # one tuple per distinct edge, path and descriptor
-    for name in SPLIT_NAMES:
+    split_of: dict[tuple, str] = {}  # descriptor -> the split it first appeared in
+    max_len = gen.max_walk_len
+    for name, count in zip(SPLIT_NAMES, gen.graphs_per_split):
         file = world_path / f"{name}.jsonl"
         items = []
         try:
@@ -300,7 +306,7 @@ def read_world(
                 if "true" in line or "false" in line:  # a bool equals 1 or 0; never written
                     raise ValueError("true or false in an instance line")
                 doc = _decode_instance_line(line)
-                items.append(instance_from_dict(doc, shared))
+                inst = instance_from_dict(doc, shared)
                 line_world = doc["world_id"]
             except (KeyError, IndexError, ValueError, TypeError) as exc:
                 raise SuiteFormatError(f"{file}:{lineno}: bad instance record ({exc})")
@@ -308,13 +314,26 @@ def read_world(
                 raise SuiteFormatError(
                     f"{file}:{lineno}: instance of world {line_world!r} in world {world_id}"
                 )
+            descriptor = inst.descriptor
+            if not 2 <= len(descriptor) <= max_len:
+                raise SuiteFormatError(
+                    f"{file}:{lineno}: descriptor length {len(descriptor)} outside 2..{max_len}"
+                )
+            first = split_of.setdefault(descriptor, name)
+            if first != name:
+                raise SuiteFormatError(
+                    f"{file}:{lineno}: descriptor {list(descriptor)} of the {first} split"
+                )
+            items.append(inst)
+        if len(items) != count:
+            raise SuiteFormatError(
+                f"{file}: {len(items)} instances, not the {count} of graphs_per_split"
+            )
         instances[name] = items
-    if not any(instances.values()):
-        raise SuiteFormatError(f"{world_path}: world has no instances")
     ds = WorldDataset(
         world_id=world_id,
         instances=instances,
-        max_walk_len=max_walk_len,
+        max_walk_len=max_len,
         sampling_info=stats_doc.get("sampling_info") if isinstance(stats_doc, dict) else None,
         rules=rules,
     )

@@ -183,20 +183,19 @@ def read_suite(path: str | Path) -> Suite:
     """Load a complete suite directory: its plan and every listed world,
     all through one share table, so equal tuples anywhere are one object.
 
-    Each world is read by ``read_world`` against the plan: a listed world
-    without its directory or instances, or whose ``rules.json`` or
-    ``stats.json`` is not the one the plan and its instances give, is a
-    SuiteFormatError, as in ``validate`` and ``solve``; read one world of a
-    partial suite with ``read_world``.
+    Each world is read by ``read_world`` against the plan, so a listed
+    world without its directory, or one that ``read_world`` refuses, is a
+    SuiteFormatError, as in ``validate``, ``solve`` and ``stats``; read one
+    world of a partial suite with ``read_world``.
     """
     root = Path(path)
     suite = read_plan(root)
-    max_walk_len, shared = suite.config.gen.max_walk_len, {}
+    gen, shared = suite.config.gen, {}
     for world in select_worlds(suite, None):
         wid = world.world_id
         rules = select_rules(suite.rules, world.rule_indices)
         suite.graphs[wid], suite.datasets[wid] = read_world(
-            root, wid, rules, max_walk_len, suite.world_splits[wid], shared
+            root, wid, rules, gen, suite.world_splits[wid], shared
         )
     return suite
 

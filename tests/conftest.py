@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
 
 from logicworlds.config import SuiteConfig
+from logicworlds.dataset_io import compute_stats, instance_from_dict
 from logicworlds.rules import BinaryRule, RelationAlphabet, RuleSet
+from logicworlds.sampler import SPLIT_NAMES, WorldDataset
 from logicworlds.worldgraph import GenConfig
 
 
@@ -48,3 +51,26 @@ def tiny_suite_config(**overrides) -> SuiteConfig:
     )
     defaults.update(overrides)
     return SuiteConfig(**defaults)
+
+
+def recompute_stats(world_dir) -> None:
+    """Re-write a world's ``stats.json`` as the writer would from its
+    instance lines as they now are, keeping its ``world_id``, ``split``,
+    ``max_walk_len`` and ``sampling_info``."""
+    old = json.loads((world_dir / "stats.json").read_text())
+    shared = {}
+    instances = {
+        split: [
+            instance_from_dict(json.loads(line), shared)
+            for line in (world_dir / f"{split}.jsonl").read_text().splitlines()
+        ]
+        for split in SPLIT_NAMES
+    }
+    ds = WorldDataset(
+        world_id=old["world_id"],
+        instances=instances,
+        max_walk_len=old["max_walk_len"],
+        sampling_info=old["sampling_info"],
+    )
+    doc = compute_stats(ds, old["split"])
+    (world_dir / "stats.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -6,12 +6,11 @@ import time
 import pytest
 
 from logicworlds.cli import main
-from logicworlds.dataset_io import compute_stats, instance_from_dict
 from logicworlds.errors import SuiteFormatError
-from logicworlds.sampler import SPLIT_NAMES, WorldDataset
+from logicworlds.sampler import SPLIT_NAMES
 from logicworlds.suite import plan_suite, read_suite
 
-from conftest import tiny_suite_config
+from conftest import recompute_stats, tiny_suite_config
 
 
 @pytest.fixture(scope="module")
@@ -86,30 +85,29 @@ RELATION_ID_TAMPERING = [
 
 
 def not_derived(file, key) -> str:
-    """The refusal of a derived file whose ``key`` differs from what the config gives."""
-    return f"{file}: {key} is not the one the suite config gives"
+    """The refusal of a derived file whose ``key`` differs from what the writer writes."""
+    return f"{file}: {key} is not the one the writer would write"
 
 
-def recompute_world_0_stats(suite_dir) -> None:
-    """Re-write world 0's ``stats.json`` from its instances as they now are,
-    keeping its ``split``, ``max_walk_len`` and ``sampling_info``."""
-    world_dir = suite_dir / "rule_0"
-    old = json.loads((world_dir / "stats.json").read_text())
-    shared = {}
-    instances = {
-        split: [
-            instance_from_dict(json.loads(line), shared)
-            for line in (world_dir / f"{split}.jsonl").read_text().splitlines()
-        ]
-        for split in SPLIT_NAMES
+def refused_by_every_reader(broken, message, capsys, *argv) -> None:
+    """``validate``, ``solve`` and ``stats`` exit 2 and ``read_suite`` raises
+    SuiteFormatError, each naming ``message``."""
+    for command in ("validate", "solve", "stats"):
+        assert main([command, str(broken), *argv]) == 2, command
+        assert message in capsys.readouterr().err, command
+    with pytest.raises(SuiteFormatError, match=re.escape(message)):
+        read_suite(broken)
+
+
+def chain_line(relation: int, length: int) -> str:
+    """An instance line whose query is answered by a chain of ``length``
+    ``relation`` edges, its own resolution path."""
+    line = {
+        "edges": [[i, relation, i + 1] for i in range(length)], "query": [0, length],
+        "target": relation, "resolution_path": list(range(length + 1)),
+        "descriptor": [relation] * length, "world_id": 0,
     }
-    ds = WorldDataset(
-        world_id=0,
-        instances=instances,
-        max_walk_len=old["max_walk_len"],
-        sampling_info=old["sampling_info"],
-    )
-    (world_dir / "stats.json").write_text(json.dumps(compute_stats(ds, old["split"])))
+    return json.dumps(line, sort_keys=True, separators=(",", ":"))
 
 
 def new_last_head(manifest: dict) -> None:
@@ -129,7 +127,7 @@ def corrupt_one_target(suite_dir, tmp_path):
     record["target"] = (record["target"] + 1) % 8
     lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     target_file.write_text("\n".join(lines) + "\n")
-    recompute_world_0_stats(broken)  # the stats may count the new target as a class
+    recompute_stats(broken / "rule_0")  # the stats may count the new target as a class
     return broken
 
 
@@ -249,15 +247,13 @@ class TestValidate:
         broken = tmp_path / "leak"
         shutil.copytree(suite_dir, broken)
         train_line = (broken / "rule_0" / "train.jsonl").read_text().splitlines()[0]
-        with open(broken / "rule_0" / "test.jsonl", "a") as test_file:
-            test_file.write(train_line + "\n")
-        recompute_world_0_stats(broken)
-        rc = main(["validate", str(broken)])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["valid"] == report["instances"]
-        assert report["worlds"]["rule_0"]["split_leaks"] == 1
-        assert report["split_leaks"] == 1
+        test_file = broken / "rule_0" / "test.jsonl"
+        with open(test_file, "a") as lines:
+            lines.write(train_line + "\n")
+        recompute_stats(broken / "rule_0")
+        descriptor = json.loads(train_line)["descriptor"]
+        message = f"{test_file}:6: descriptor {descriptor} of the train split"
+        refused_by_every_reader(broken, message, capsys)
 
     def test_tampered_stats_fail(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "stats"
@@ -266,12 +262,7 @@ class TestValidate:
         doc = json.loads(stats_file.read_text())
         doc["avg_nodes"] = 99.5
         stats_file.write_text(json.dumps(doc))
-        message = not_derived(stats_file, "avg_nodes")
-        for command in ("validate", "solve"):
-            assert main([command, str(broken)]) == 2, command
-            assert message in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(message)):
-            read_suite(broken)
+        refused_by_every_reader(broken, not_derived(stats_file, "avg_nodes"), capsys)
 
     def test_tampered_rules_fail(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "rules"
@@ -288,36 +279,33 @@ class TestValidate:
     def test_one_relation_descriptor_fails(self, suite_dir, tmp_path, capsys):
         # the line certifies (its one edge is its own resolution) and the
         # stats are recomputed with it, but a descriptor needs 2 relations
-        broken = tmp_path / "short_walk"
+        self.assert_descriptor_length_refused(suite_dir, tmp_path, capsys, 1)
+
+    def test_descriptor_longer_than_max_walk_len_fails(self, suite_dir, tmp_path, capsys):
+        max_walk_len = tiny_suite_config().gen.max_walk_len
+        self.assert_descriptor_length_refused(suite_dir, tmp_path, capsys, max_walk_len + 1)
+
+    @staticmethod
+    def assert_descriptor_length_refused(suite_dir, tmp_path, capsys, length):
+        broken = tmp_path / "walk_length"
         shutil.copytree(suite_dir, broken)
         r = json.loads((broken / "rule_0" / "train.jsonl").read_text().splitlines()[0])["target"]
-        line = {
-            "edges": [[0, r, 1]], "query": [0, 1], "target": r,
-            "resolution_path": [0, 1], "descriptor": [r], "world_id": 0,
-        }
-        with open(broken / "rule_0" / "test.jsonl", "a") as test_file:
-            test_file.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
-        recompute_world_0_stats(broken)
-        rc = main(["validate", str(broken), "--world-id", "0"])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["valid"] == report["instances"]
-        assert report["split_leaks"] == 0
-        assert report["walk_len_violations"] == 1
-        assert report["worlds"]["rule_0"]["walk_len_violations"] == 1
+        test_file = broken / "rule_0" / "test.jsonl"
+        with open(test_file, "a") as lines:
+            lines.write(chain_line(r, length) + "\n")
+        recompute_stats(broken / "rule_0")
+        max_walk_len = tiny_suite_config().gen.max_walk_len
+        message = f"{test_file}:6: descriptor length {length} outside 2..{max_walk_len}"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
     def test_world_without_instances_is_format_error(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "empty"
         shutil.copytree(suite_dir, broken)
         for split in ("train", "valid", "test"):
             (broken / "rule_0" / f"{split}.jsonl").write_text("")
-        message = f"{broken / 'rule_0'}: world has no instances"
-        for command in ("validate", "solve"):
-            rc = main([command, str(broken)])
-            assert rc == 2, command
-            assert message in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(message)):
-            read_suite(broken)
+        train = tiny_suite_config().gen.graphs_per_split[0]
+        message = f"{broken / 'rule_0' / 'train.jsonl'}: 0 instances, not the {train} of graphs_per_split"
+        refused_by_every_reader(broken, message, capsys)
 
     def test_two_field_edge_is_format_error_with_location(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "short_edge"
@@ -477,20 +465,14 @@ class TestValidate:
         manifest = json.loads(manifest_file.read_text())
         tamper(manifest)
         manifest_file.write_text(json.dumps(manifest))
-        for command in ("validate", "solve", "stats"):
-            assert main([command, str(broken)]) == 2, command
-            assert f"{manifest_file}:" in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(f"{manifest_file}:")):
-            read_suite(broken)
+        refused_by_every_reader(broken, f"{manifest_file}:", capsys)
 
-    # stats reads no rules.json
     @pytest.mark.parametrize(
         "name, key, tamper, command",
         [
             pytest.param(name, key, tamper, command, id=f"{name.split('/')[0]}-{kind}-{command}")
             for name, kind, key, tamper in RELATION_ID_TAMPERING
-            for command in ("validate", "solve", "read_suite")
-            + (("stats",) if name == "manifest.json" else ())
+            for command in ("validate", "solve", "read_suite", "stats")
         ],
     )
     def test_relation_id_not_an_integer_is_format_error_naming_its_file(
@@ -555,12 +537,7 @@ class TestValidate:
         manifest = json.loads(manifest_file.read_text())
         tamper(manifest)
         manifest_file.write_text(json.dumps(manifest))
-        message = not_derived(manifest_file, key)
-        for command in ("validate", "solve", "stats"):
-            assert main([command, str(broken)]) == 2, command
-            assert message in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(message)):
-            read_suite(broken)
+        refused_by_every_reader(broken, not_derived(manifest_file, key), capsys)
 
     # 10.0 is the config's own bound written as a float
     @pytest.mark.parametrize("max_walk_len", [3, 2, 10.0])
@@ -693,12 +670,7 @@ class TestConfigIsTheOneSource:
         self, suite_dir, tmp_path, capsys, name, key, tamper
     ):
         broken, file = tampered_copy(suite_dir, tmp_path, name, tamper)
-        message = not_derived(file, key)
-        for command in ("validate", "solve"):
-            assert main([command, str(broken), "--workers", "1"]) == 2, command
-            assert message in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(message)):
-            read_suite(broken)
+        refused_by_every_reader(broken, not_derived(file, key), capsys)
 
     def test_rules_json_not_an_object_is_refused(self, suite_dir, tmp_path, capsys):
         broken, file = tampered_copy(suite_dir, tmp_path, "rule_0/rules.json", lambda doc: None)
@@ -759,12 +731,7 @@ class TestStatsAreDerived:
     )
     def test_every_reader_refuses_other_stats(self, suite_dir, tmp_path, capsys, key, tamper):
         broken, stats_file = tampered_copy(suite_dir, tmp_path, "rule_0/stats.json", tamper)
-        message = not_derived(stats_file, key)
-        for command in ("validate", "solve"):
-            assert main([command, str(broken), "--world-id", "0"]) == 2, command
-            assert message in capsys.readouterr().err, command
-        with pytest.raises(SuiteFormatError, match=re.escape(message)):
-            read_suite(broken)
+        refused_by_every_reader(broken, not_derived(stats_file, key), capsys, "--world-id", "0")
 
     def test_stats_not_an_object_is_refused(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "stats_list"
@@ -783,12 +750,12 @@ class TestInstanceCounts:
             doc["config"]["graphs_per_split"][0] += 1
 
         broken, _ = tampered_copy(suite_dir, tmp_path, "manifest.json", one_more_train_instance)
-        rc = main(["validate", str(broken)])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["valid"] == report["instances"]
-        assert all(w["split_size_mismatch"] == 1 for w in report["worlds"].values())
-        assert report["split_size_mismatch"] == len(report["worlds"])
+        train = tiny_suite_config().gen.graphs_per_split[0]
+        message = (
+            f"{broken / 'rule_0' / 'train.jsonl'}: {train} instances, "
+            f"not the {train + 1} of graphs_per_split"
+        )
+        refused_by_every_reader(broken, message, capsys)
 
     def test_dropped_lines_with_stats_recomputed_fail(self, suite_dir, tmp_path, capsys):
         broken = tmp_path / "dropped"
@@ -797,12 +764,9 @@ class TestInstanceCounts:
         lines = split_file.read_text().splitlines()
         assert len(lines) == 20
         split_file.write_text("\n".join(lines[:15]) + "\n")
-        recompute_world_0_stats(broken)
-        rc = main(["validate", str(broken), "--world-id", "0"])
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["instances"] == report["valid"] == 25
-        assert report["worlds"]["rule_0"]["split_size_mismatch"] == 1
+        recompute_stats(broken / "rule_0")
+        message = f"{split_file}: 15 instances, not the 20 of graphs_per_split"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
 
 class TestSolve:
@@ -882,14 +846,31 @@ class TestStats:
         assert f"{stats_file}:" in capsys.readouterr().err
 
     def test_stats_rows_match_stats_files(self, suite_dir, capsys):
-        main(["stats", str(suite_dir), "--world-id", "1"])
-        out = capsys.readouterr().out
-        row = next(l for l in out.splitlines() if l.startswith("rule_1"))
+        assert main(["stats", str(suite_dir), "--world-id", "1"]) == 0
+        header, _, row, agg = capsys.readouterr().out.splitlines()
         doc = json.loads((suite_dir / "rule_1" / "stats.json").read_text())
-        cells = row.split()
-        assert cells[2] == str(doc["num_classes"])
-        assert cells[3] == str(doc["num_descriptors"])
-        assert float(cells[4]) == pytest.approx(doc["avg_resolution_length"], abs=5e-3)
+        assert header.split() == ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
+        values = [doc[key] for key in (
+            "num_classes", "num_descriptors", "avg_resolution_length", "avg_nodes", "avg_edges"
+        )]
+        nc, nd, arl, an, ae = values
+        assert row.split() == [
+            "rule_1", doc["split"], str(nc), str(nd), f"{arl:.2f}", f"{an:.3f}", f"{ae:.3f}"
+        ]
+        assert agg.split() == ["AGG", *(f"{value:.2f}" for value in values)]
+
+    @pytest.mark.parametrize(
+        "scores",
+        [{"rule_0": "0.9"}, {"rule_0": True}, {"rule_ 0": 0.2}, {"rule_1_0": 0.2}],
+        ids=["string_accuracy", "true_accuracy", "space_in_key", "underscore_in_id"],
+    )
+    def test_malformed_accuracy_file_is_config_error_naming_it(
+        self, suite_dir, tmp_path, capsys, scores
+    ):
+        acc = tmp_path / "acc.json"
+        acc.write_text(json.dumps(scores))
+        assert main(["stats", str(suite_dir), "--accuracy", str(acc)]) == 2
+        assert f"{acc}: " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

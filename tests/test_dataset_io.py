@@ -201,7 +201,7 @@ class TestSuiteRoundTrip:
         for world in suite.worlds:  # read alone, a world shares its own tuples
             rules = select_rules(suite.rules, world.rule_indices)
             split = suite.world_splits[world.world_id]
-            _, ds = read_world(path, world.world_id, rules, config.gen.max_walk_len, split)
+            _, ds = read_world(path, world.world_id, rules, config.gen, split)
             first, seen = {}, 0
             for inst in ds.all_instances():
                 for value in (*inst.edges, inst.resolution_path, inst.descriptor):
