@@ -28,7 +28,7 @@ from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFor
 from .partition import WorldSpec
 from .resolver import symbolic_baseline_solve, validate_instance
 from .rules import RuleSet, select_rules
-from .suite import generate_suite_to_disk, map_worlds, plan_suite, read_plan, select_worlds
+from .suite import Suite, generate_suite_to_disk, map_worlds, plan_suite, read_plan, select_worlds
 from .worldgraph import GenConfig
 
 EXIT_OK = 0
@@ -125,13 +125,13 @@ def _only(args) -> list[int] | None:
     return None if args.world_id is None else [args.world_id]
 
 
-def _planned_worlds(args) -> tuple[list[WorldSpec], list[tuple]]:
-    """The worlds the command covers, each with its task for ``validate_world``,
-    ``solve_world`` or ``stats_world``: suite dir, world id, split, rules and
-    gen of the plan, all that ``read_world`` needs to read the world."""
+def _planned_worlds(args) -> tuple[Suite, list[WorldSpec], list[tuple]]:
+    """The plan and the worlds the command covers, each with its task for
+    ``validate_world``, ``solve_world`` or ``stats_world``: suite dir, world
+    id, split, rules and gen of the plan, all that ``read_world`` needs."""
     suite = read_plan(args.suite)
     worlds = select_worlds(suite, _only(args))
-    return worlds, [
+    return suite, worlds, [
         (args.suite, w.world_id, suite.world_splits[w.world_id],
          select_rules(suite.rules, w.rule_indices), suite.config.gen)
         for w in worlds
@@ -178,7 +178,7 @@ def stats_world(path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig
 
 
 def cmd_validate(args) -> int:
-    worlds, tasks = _planned_worlds(args)
+    _, worlds, tasks = _planned_worlds(args)
     results = map_worlds(validate_world, tasks, args.workers)
     totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
@@ -191,7 +191,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    worlds, tasks = _planned_worlds(args)
+    _, worlds, tasks = _planned_worlds(args)
     results = map_worlds(solve_world, tasks, args.workers)
     accuracies = []
     for world, accuracy in zip(worlds, results):
@@ -205,8 +205,8 @@ STATS_KEYS = ("num_classes", "num_descriptors", "avg_resolution_length", "avg_no
 
 
 def cmd_stats(args) -> int:
-    worlds, tasks = _planned_worlds(args)
-    scores = _load_accuracy(args.accuracy) if args.accuracy else None
+    suite, worlds, tasks = _planned_worlds(args)
+    scores = _load_accuracy(args.accuracy, suite.world_splits) if args.accuracy else None
     header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
     if scores is not None:
         header.append("D")
@@ -229,19 +229,21 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _load_accuracy(path: Path) -> dict[int, float]:
-    """World id -> accuracy from a JSON object whose keys are ``rule_<n>``
-    or ``<n>`` (``n`` in ASCII digits) and whose values are JSON numbers;
-    anything else is a ConfigError naming the file."""
+def _load_accuracy(path: Path, world_splits: dict[int, str]) -> dict[int, float]:
+    """World id -> accuracy from a JSON object whose keys name worlds of
+    ``world_splits`` (the plan's), as ``rule_<n>`` or ``<n>`` with ``n`` the
+    id in decimal, and whose values are JSON numbers in [0, 1]; anything
+    else is a ConfigError naming the file and the key."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: accuracy file must map world names to numbers")
+    names = {name: wid for wid in world_splits for name in (str(wid), f"rule_{wid}")}
     scores = {}
     for key, value in doc.items():
-        digits = key.removeprefix("rule_")
-        if not (digits.isascii() and digits.isdigit()) or type(value) not in (int, float):
-            raise ConfigError(f"{path}: {key!r}: {value!r} is not a world name and an accuracy")
-        scores[int(digits)] = value
+        wid = names.get(key)
+        if wid is None or type(value) not in (int, float) or not 0 <= value <= 1:
+            raise ConfigError(f"{path}: {key!r}: {value!r} is not a world's accuracy in [0, 1]")
+        scores[wid] = value
     return scores
 
 

@@ -1,7 +1,6 @@
 """Per-world statistics, difficulty buckets, extended graphs, suite I/O.
 
-On-disk layout of a suite (all JSON/JSONL, byte-deterministic given the
-config and seed):
+On-disk layout of a suite (byte-deterministic given the config and seed):
 
     <out>/manifest.json        suite.manifest_doc: resolved config and what
                                it gives: master rules, world list + splits,
@@ -14,9 +13,12 @@ config and seed):
 Instance lines follow the schema
 ``{"edges": [[u, r, v], ...], "query": [u, v], "target": r,
 "resolution_path": [...], "descriptor": [...], "world_id": n}``
-with node ids dense per instance. One formatter,
-:func:`instance_to_json`, writes each line as the compact, key-sorted
-text ``json.dumps`` would give, without building the document first.
+with node ids dense per instance. Every ``.json`` file and every
+``.jsonl`` line is in one form: the compact, key-sorted text of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, a file's
+followed by a newline. Files go through the stdlib encoder; instance
+lines through :func:`instance_to_json`, which writes that text without
+building the document first.
 
 Loaded instances share immutable tuples: :func:`read_world` parses
 every line through one share table, so equal edge triples, resolution
@@ -37,7 +39,7 @@ from pathlib import Path
 from .errors import ConfigError, SuiteFormatError
 from .rules import RelationId, RuleSet, ruleset_to_dict
 from .sampler import SPLIT_NAMES, Instance, WorldDataset
-from .worldgraph import GenConfig, WorldGraph, worldgraph_from_dict, worldgraph_to_json
+from .worldgraph import GenConfig, WorldGraph, worldgraph_from_dict
 
 EASY_THRESHOLD = 0.70
 MEDIUM_THRESHOLD = 0.54
@@ -143,7 +145,7 @@ def extend_graph(edges: list[tuple[int, RelationId, int]]) -> ExtendedGraph:
 
 
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _load_json(path: Path):
@@ -245,7 +247,7 @@ def write_world(
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
     _dump_json(tmp / "rules.json", ruleset_to_dict(ds.rules))
-    (tmp / "world_graph.json").write_text(worldgraph_to_json(graph) + "\n")
+    _dump_json(tmp / "world_graph.json", {"edges": graph.edge_list(), "nodes": graph.node_count})
     for split in SPLIT_NAMES:
         lines = [instance_to_json(inst, world_id) for inst in ds.instances[split]]
         (tmp / f"{split}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -268,6 +270,8 @@ def read_world(
     a SuiteFormatError naming the file (and the line, or the first key
     that differs):
     - ``rules.json`` must be ``ruleset_to_dict(rules)``;
+    - ``world_graph.json`` must pass ``worldgraph_from_dict``: integers,
+      node ids below ``nodes``, no pair twice;
     - each instance line must keep the schema, hold no ``true`` or
       ``false``, be of world ``world_id``, have a descriptor of 2 to
       ``gen.max_walk_len`` relations, and share no descriptor with an

@@ -44,5 +44,4 @@ TAG_ALPHABET = 1
 TAG_RULES = 2
 TAG_PARTITION = 3
 TAG_WORLDGRAPH = 4
-TAG_SPLIT = 5
 TAG_INSTANCE = 6

@@ -22,9 +22,6 @@ still conflicts is a GenerationError, never regenerated.
 That fixpoint (:class:`_ClosureState`) is the program's only rule
 engine: :func:`derive_closure` also resolves descriptors, read as path
 graphs, for the resolver.
-
-``world_graph.json`` has one formatter, :func:`worldgraph_to_json`,
-pinned to the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -405,24 +402,19 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
     return diagnostics
 
 
-def worldgraph_to_json(graph: WorldGraph) -> str:
-    """The graph's ``{"nodes": n, "edges": [[u, r, v], ...]}`` document as
-    exactly the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
-
-    Written out directly: with ``indent`` the stdlib runs its pure-Python
-    encoder, several times slower on a graph of a few thousand edges.
-    """
-    if not graph.edges:
-        edges = "[]"
-    else:
-        items = ",\n".join(
-            f"    [\n      {u},\n      {r},\n      {v}\n    ]"
-            for (u, v), r in graph.edges.items()
-        )
-        edges = f"[\n{items}\n  ]"
-    return f'{{\n  "edges": {edges},\n  "nodes": {graph.node_count}\n}}'
-
-
 def worldgraph_from_dict(data: dict) -> WorldGraph:
-    edges = {(u, v): r for u, r, v in data["edges"]}
-    return WorldGraph(node_count=data["nodes"], edges=edges)
+    """Parse ``{"nodes": n, "edges": [[u, r, v], ...]}``: ``n`` >= 0 and each
+    id a JSON integer, not a bool (else TypeError); node ids in ``0..n-1``
+    and no (u, v) pair twice (else ValueError)."""
+    nodes, edges = data["nodes"], {}
+    if type(nodes) is not int or nodes < 0:
+        raise TypeError(f"nodes {nodes!r} is not a non-negative integer")
+    for u, r, v in data["edges"]:
+        if type(u) is not int or type(r) is not int or type(v) is not int:
+            raise TypeError(f"edge {[u, r, v]!r} is not three integers")
+        if not (0 <= u < nodes and 0 <= v < nodes):
+            raise ValueError(f"edge {[u, r, v]!r} has a node outside 0..{nodes - 1}")
+        edges[(u, v)] = r
+    if len(edges) != len(data["edges"]):
+        raise ValueError("a (u, v) pair carries two edges")
+    return WorldGraph(node_count=nodes, edges=edges)

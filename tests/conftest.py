@@ -53,6 +53,12 @@ def tiny_suite_config(**overrides) -> SuiteConfig:
     return SuiteConfig(**defaults)
 
 
+def render(doc) -> str:
+    """``doc`` in the one form of a suite file: compact, key-sorted JSON (a
+    ``.json`` file adds a newline, as each ``.jsonl`` line does)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def recompute_stats(world_dir) -> None:
     """Re-write a world's ``stats.json`` as the writer would from its
     instance lines as they now are, keeping its ``world_id``, ``split``,
@@ -73,4 +79,4 @@ def recompute_stats(world_dir) -> None:
         sampling_info=old["sampling_info"],
     )
     doc = compute_stats(ds, old["split"])
-    (world_dir / "stats.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    (world_dir / "stats.json").write_text(render(doc) + "\n")

@@ -2,10 +2,9 @@
 still be edited unnoticed.
 
 Each edit adds 1 to one number of one file and re-renders the file as the
-writer would (``json.dumps(doc, indent=2, sort_keys=True)``, compact and
-key-sorted for instance lines), or moves or drops one instance line and
-recomputes ``stats.json``. A class of edits takes at most ``CAP`` of its
-candidates, evenly spaced. The census records whether ``validate
+writer would (compact, key-sorted JSON, ``conftest.render``), or moves or
+drops one instance line and recomputes ``stats.json``. A class of edits
+takes at most ``CAP`` of its candidates, evenly spaced. The census records whether ``validate
 --world-id 0`` exits 0 and, for every class but instance-line content
 (which ``solve`` and ``read_suite`` are meant to load and score), whether
 ``read_suite`` loads the suite.
@@ -28,7 +27,7 @@ from logicworlds.errors import SuiteFormatError
 from logicworlds.sampler import SPLIT_NAMES
 from logicworlds.suite import generate_suite_to_disk, plan_suite, read_suite
 
-from conftest import recompute_stats, tiny_suite_config
+from conftest import recompute_stats, render, tiny_suite_config
 
 CAP = 20
 VALIDATE, READ_SUITE = "validate", "read_suite"
@@ -74,14 +73,6 @@ def plus_one(doc, path) -> None:
     doc[last] += 1
 
 
-def render(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def render_line(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def file_edits(name, keep):
     """The +1 edits of the numbers of JSON file ``name`` whose path ``keep`` takes."""
 
@@ -93,7 +84,7 @@ def file_edits(name, keep):
             def apply():
                 copy = json.loads(file.read_text())
                 plus_one(copy, path)
-                file.write_text(render(copy))
+                file.write_text(render(copy) + "\n")
 
             return apply
 
@@ -130,7 +121,7 @@ def line_number_edits(keep):
             def apply():
                 doc = json.loads(lines[split][index])
                 plus_one(doc, path)
-                write_lines(world, {split: [*lines[split][:index], render_line(doc),
+                write_lines(world, {split: [*lines[split][:index], render(doc),
                                             *lines[split][index + 1:]]})
 
             return apply

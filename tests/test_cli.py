@@ -10,7 +10,7 @@ from logicworlds.errors import SuiteFormatError
 from logicworlds.sampler import SPLIT_NAMES
 from logicworlds.suite import plan_suite, read_suite
 
-from conftest import recompute_stats, tiny_suite_config
+from conftest import recompute_stats, render, tiny_suite_config
 
 
 @pytest.fixture(scope="module")
@@ -644,8 +644,58 @@ def tampered_copy(suite_dir, tmp_path, name, tamper):
     file = broken / name
     doc = json.loads(file.read_text())
     tamper(doc)
-    file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    file.write_text(render(doc) + "\n")
     return broken, file
+
+
+def _first_edge_item(position, value_of):
+    """A tamper that sets item ``position`` of the graph's first edge to ``value_of(doc)``."""
+
+    def tamper(doc):
+        doc["edges"][0][position] = value_of(doc)
+
+    return tamper
+
+
+def _repeat_first_pair(relabel):
+    """A tamper that appends the graph's first edge again, its label plus ``relabel``."""
+
+    def tamper(doc):
+        u, r, v = doc["edges"][0]
+        doc["edges"].append([u, r + relabel, v])
+
+    return tamper
+
+
+class TestWorldGraphIsTyped:
+    """``world_graph.json`` holds a graph the writer could write: ``nodes``
+    a non-negative JSON integer, each edge three JSON integers (a bool is
+    none) with node ids below ``nodes``, and no (u, v) pair twice. Every
+    reader refuses anything else, naming the file."""
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: retype(doc, "nodes", str),
+            lambda doc: retype(doc, "nodes", float),
+            lambda doc: doc.update(nodes=-1),
+            _first_edge_item(1, lambda doc: True),
+            _first_edge_item(1, lambda doc: "x"),
+            _first_edge_item(2, lambda doc: doc["nodes"]),
+            _first_edge_item(0, lambda doc: -1),
+            _repeat_first_pair(0),
+            _repeat_first_pair(1),
+        ],
+        ids=[
+            "string_nodes", "float_nodes", "negative_nodes", "true_relation", "string_relation",
+            "node_id_equal_to_nodes", "negative_node_id", "repeated_edge", "repeated_pair",
+        ],
+    )
+    def test_every_reader_refuses_a_graph_the_writer_could_not_write(
+        self, suite_dir, tmp_path, capsys, tamper
+    ):
+        broken, file = tampered_copy(suite_dir, tmp_path, "rule_0/world_graph.json", tamper)
+        refused_by_every_reader(broken, f"{file}: bad record (", capsys, "--world-id", "0")
 
 
 class TestConfigIsTheOneSource:
@@ -819,14 +869,15 @@ class TestStats:
         assert out[-1].startswith("AGG")
 
     def test_difficulty_column_from_accuracy_file(self, suite_dir, tmp_path, capsys):
-        scores = {"rule_9": 0.758, "rule_54": 0.638, "rule_0": 0.481}
+        scores = {"rule_1": 0.758, "rule_2": 0.638, "rule_0": 0.481}
         acc = tmp_path / "acc.json"
         acc.write_text(json.dumps(scores))
         rc = main(["stats", str(suite_dir), "--accuracy", str(acc)])
         out = capsys.readouterr().out
         assert rc == 0
-        row0 = next(l for l in out.splitlines() if l.startswith("rule_0 "))
-        assert row0.rstrip().endswith("Hard")
+        for world, label in (("rule_0", "Hard"), ("rule_1", "Easy"), ("rule_2", "Medium")):
+            row = next(l for l in out.splitlines() if l.startswith(f"{world} "))
+            assert row.rstrip().endswith(label)
 
     @pytest.mark.parametrize(
         "tamper",
@@ -861,8 +912,14 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "scores",
-        [{"rule_0": "0.9"}, {"rule_0": True}, {"rule_ 0": 0.2}, {"rule_1_0": 0.2}],
-        ids=["string_accuracy", "true_accuracy", "space_in_key", "underscore_in_id"],
+        [
+            {"rule_0": "0.9"}, {"rule_0": True}, {"rule_ 0": 0.2}, {"rule_1_0": 0.2},
+            {"rule_" + "9" * 5000: 0.2},
+        ],
+        ids=[
+            "string_accuracy", "true_accuracy", "space_in_key", "underscore_in_id",
+            "id_of_5000_digits",
+        ],
     )
     def test_malformed_accuracy_file_is_config_error_naming_it(
         self, suite_dir, tmp_path, capsys, scores
@@ -871,6 +928,25 @@ class TestStats:
         acc.write_text(json.dumps(scores))
         assert main(["stats", str(suite_dir), "--accuracy", str(acc)]) == 2
         assert f"{acc}: " in capsys.readouterr().err
+
+    # the whole file is checked, not only the worlds a run prints
+    @pytest.mark.parametrize(
+        "scores, argv",
+        [
+            ({"rule_0": 1.5}, ["--world-id", "1"]),
+            ({"rule_0": 1.5}, ["--world-id", "0"]),
+            ({"rule_77": 0.5}, []),
+        ],
+        ids=["above_one_unprinted_world", "above_one_printed_world", "world_not_planned"],
+    )
+    def test_accuracy_outside_range_or_plan_is_config_error_naming_file_and_key(
+        self, suite_dir, tmp_path, capsys, scores, argv
+    ):
+        acc = tmp_path / "acc.json"
+        acc.write_text(json.dumps(scores))
+        assert main(["stats", str(suite_dir), "--accuracy", str(acc), *argv]) == 2
+        (key,) = scores
+        assert f"{acc}: {key!r}: " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

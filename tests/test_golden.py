@@ -11,21 +11,24 @@ change log.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from logicworlds.cli import main
 from logicworlds.config import SuiteConfig
-from logicworlds.rules import generate_alphabet, generate_rules, ruleset_to_dict
+from logicworlds.dataset_io import read_world
+from logicworlds.rules import generate_alphabet, generate_rules, ruleset_to_dict, select_rules
 from logicworlds.seeds import TAG_ALPHABET, TAG_RULES, rng_for
-from logicworlds.suite import generate_suite_to_disk, plan_suite
+from logicworlds.suite import generate_suite_to_disk, plan_suite, read_plan, select_worlds
 from logicworlds.worldgraph import GenConfig
 
 GOLDEN_CONFIG = SuiteConfig(seed=5, stride=10, gen=GenConfig(graphs_per_split=(20, 5, 5)))
 GOLDEN_WORLDS = [0, 13]  # first (train) and last (test) world of the 14
-GOLDEN_SHA256 = "c3c321229fe7fc852eb6e9bbdea87a0aa70911b755658c31a175a85f6c0652d5"
+GOLDEN_SHA256 = "0e128a2fb8384f5a75d66ef4e4ba25c4c5674a0e4e6d61e6dd4eb1d9634ee8e9"
 
 # The golden suite plans only K = 20; rule generation is pinned across alphabet sizes.
 GOLDEN_RULE_SIZES = (3, 5, 12, 20, 33, 48)
@@ -49,6 +52,45 @@ def test_tiny_suite_tree_matches_golden_digest(tmp_path):
     info = generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
     assert sorted(info) == GOLDEN_WORLDS
     assert tree_sha256(tmp_path) == GOLDEN_SHA256
+
+
+def test_every_file_and_line_is_compact_key_sorted_json(tmp_path):
+    """One JSON form: each ``.json`` file is its document's compact,
+    key-sorted ``json.dumps`` text and a newline, and so is each ``.jsonl``
+    line."""
+    generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert {p.suffix for p in files} == {".json", ".jsonl"}
+    for path in files:
+        text = path.read_text()
+        for unit in [text] if path.suffix == ".json" else text.splitlines(keepends=True):
+            doc = json.loads(unit)
+            assert unit == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", path
+
+
+def test_indented_suite_reads_as_the_compact_one(tmp_path):
+    """Readers parse and compare documents, so the golden suite with every
+    ``.json`` file re-rendered with ``indent=2`` validates and reads equal.
+    It holds two worlds of its plan, so each is read with ``read_world``
+    (``read_suite`` wants every world)."""
+    compact, indented = tmp_path / "compact", tmp_path / "indented"
+    generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), compact, world_ids=GOLDEN_WORLDS)
+    shutil.copytree(compact, indented)
+    for path in indented.rglob("*.json"):
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+    plan = read_plan(compact)
+    assert read_plan(indented) == plan
+    for world in select_worlds(plan, GOLDEN_WORLDS):
+        wid = world.world_id
+        assert main(["validate", str(indented), "--world-id", str(wid), "--workers", "1"]) == 0
+        rules = select_rules(plan.rules, world.rule_indices)
+        args = (wid, rules, plan.config.gen, plan.world_splits[wid])
+        (graph, ds), (expected_graph, expected_ds) = (
+            read_world(suite, *args) for suite in (indented, compact)
+        )
+        assert ds == expected_ds
+        assert graph.node_count == expected_graph.node_count
+        assert graph.edge_list() == expected_graph.edge_list()
 
 
 def test_generated_rules_match_golden_digest():
