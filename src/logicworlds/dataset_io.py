@@ -271,7 +271,8 @@ def read_world(
     that differs):
     - ``rules.json`` must be ``ruleset_to_dict(rules)``;
     - ``world_graph.json`` must pass ``worldgraph_from_dict``: integers,
-      node ids below ``nodes``, no pair twice;
+      node ids below ``nodes``, no pair twice; and each relation must be
+      of the world's alphabet, ``0..K-1``;
     - each instance line must keep the schema, hold no ``true`` or
       ``false``, be of world ``world_id``, have a descriptor of 2 to
       ``gen.max_walk_len`` relations, and share no descriptor with an
@@ -290,6 +291,10 @@ def read_world(
     _require_derived(rules_file, _load_json(rules_file), ruleset_to_dict(rules))
     graph_file = world_path / "world_graph.json"
     graph = _parse(graph_file, worldgraph_from_dict, _load_json(graph_file))
+    K = rules.alphabet.size
+    for r in graph.edges.values():
+        if not 0 <= r < K:
+            raise SuiteFormatError(f"{graph_file}: relation {r} outside 0..{K - 1}")
     stats_file = world_path / "stats.json"
     stats_doc = _load_json(stats_file)
     instances: dict[str, list[Instance]] = {}

@@ -14,11 +14,11 @@ recomputes every check from the instance alone, taking nothing from the
 sampler. :func:`symbolic_baseline_solve` is the perfect-accuracy
 reference solver used as the in-repo baseline.
 
-Both build an instance's successor and predecessor lists in one pass
-over its edges, take every node's distance to the sink from one reverse
-BFS, and walk the simple source->sink paths with
-:func:`iter_simple_path_labels`, the depth-first walk pruned by those
-distances: the solver up to ``max_walk_len`` edges, the certifier up to
+:func:`iter_simple_path_labels`, a depth-first walk over successor
+lists pruned by every node's distance to the sink (one reverse BFS), is
+the program's one simple-path walk: ``sampler.collect_descriptors``
+walks each world-graph edge's alternates with it, the solver an
+instance's paths up to ``max_walk_len`` edges and the certifier up to
 |descriptor| edges. When the source lies exactly |descriptor| hops from
 the sink, the pruning admits only nodes one hop nearer at each step, so
 the certifier walks just the paths of that length.
@@ -85,11 +85,12 @@ def resolve_descriptor(
 def instance_adjacency(
     edges: Iterable[tuple[int, RelationId, int]]
 ) -> tuple[dict[int, list[tuple[int, RelationId]]], dict[int, list[int]]]:
-    """Successor and predecessor lists of an instance, in one pass over its edges.
+    """Successor and predecessor lists of a graph, in one pass over its edges.
 
-    Both lists keep edge order. No caller depends on walk order: the
-    solver takes the smallest of all resolved relations and the certifier
-    stops at the first inconsistent path.
+    Both lists keep edge order, and so does the walk. Only descriptor
+    collection depends on it and passes edges sorted; the solver takes the
+    smallest of all resolved relations and the certifier stops at the
+    first inconsistent path.
     """
     succ: dict[int, list[tuple[int, RelationId]]] = {}
     pred: dict[int, list[int]] = {}
@@ -119,10 +120,12 @@ def iter_simple_path_labels(
     max_len: int,
     *,
     to_sink: dict[int, int],
-) -> Iterator[tuple[RelationId, ...]]:
-    """Label sequences of simple directed source->sink paths of at most
-    ``max_len`` edges, depth first.
+) -> Iterator[tuple[tuple[RelationId, ...], list[int]]]:
+    """``(labels, nodes)`` of each simple directed source->sink path of at
+    most ``max_len`` edges, depth first in successor order.
 
+    ``nodes`` is the walk's own list of the path's nodes before the sink,
+    valid until the walk resumes; a caller that keeps it copies it.
     A node is entered only when ``to_sink``, the :func:`_distances_to`
     table of ``sink``, puts it within the edges left, which also keeps
     paths to ``max_len``, and only once per path (the short ``path`` list
@@ -138,7 +141,7 @@ def iter_simple_path_labels(
         for v, r in stack[-1]:
             if v == sink:
                 # simple paths end at the sink, never pass through it
-                yield (*labels, r)
+                yield (*labels, r), path
                 continue
             # nodes that cannot reach the sink, like every successor of a
             # source that cannot, default to max_len, beyond any remainder
@@ -193,7 +196,7 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
     path_consistent = matches
     if path_consistent:
         allowed = {inst.target}
-        for labels in iter_simple_path_labels(succ, inst.source, inst.sink, n, to_sink=to_sink):
+        for labels, _ in iter_simple_path_labels(succ, inst.source, inst.sink, n, to_sink=to_sink):
             # shorter paths exist only past a shortcut, already a failed check
             if len(labels) == n and not resolve_descriptor(rules, labels) <= allowed:
                 path_consistent = False
@@ -219,7 +222,7 @@ def solve_instance(
     adj, rev = instance_adjacency(inst.edges)
     to_sink = _distances_to(rev, inst.sink)
     candidates: set[RelationId] = set()
-    for labels in iter_simple_path_labels(adj, inst.source, inst.sink, max_len, to_sink=to_sink):
+    for labels, _ in iter_simple_path_labels(adj, inst.source, inst.sink, max_len, to_sink=to_sink):
         candidates |= resolve_descriptor(rules, labels)
     return min(candidates) if candidates else None
 

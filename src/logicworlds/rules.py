@@ -221,25 +221,6 @@ def _reaches(out: list[set[int]], source: int, target: int) -> bool:
     return False
 
 
-def _is_acyclic(n: int, arcs: set[tuple[int, int]]) -> bool:
-    """Kahn's algorithm over relation nodes 0..n-1."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
-
-
 def check_consistency(rules: RuleSet) -> list[Diagnostic]:
     """Diagnostics for every structural violation; empty means consistent."""
     diagnostics: list[Diagnostic] = []
@@ -273,8 +254,12 @@ def check_consistency(rules: RuleSet) -> list[Diagnostic]:
                 )
             )
 
-    arcs = {arc for rule in rules.rules for arc in rule.arcs()}
-    if not _is_acyclic(rules.alphabet.size, arcs):
+    out: list[set[RelationId]] = [set() for _ in range(rules.alphabet.size)]
+    for rule in rules.rules:
+        for a, b in rule.arcs():
+            out[a].add(b)
+    # a cycle runs through some arc: its head reaches its tail
+    if any(_reaches(out, b, a) for a, heads in enumerate(out) for b in heads):
         diagnostics.append(
             Diagnostic(kind="dependency-cycle", detail="body->head digraph has a cycle")
         )

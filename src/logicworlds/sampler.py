@@ -1,10 +1,12 @@
 """Per-query instance sampling from a WorldGraph.
 
 For every edge (u, r, v) of the world graph, the alternate walks from u
-to v of length 2..e are enumerated; their label sequences are the
-*descriptors*. Distinct descriptors are partitioned into train/valid/
-test, which makes the splits inductive: an evaluation query can only be
-resolved by composing rules in a combination never seen in training.
+to v of length 2..e are enumerated by ``resolver.iter_simple_path_labels``,
+the one walk that also certifies and solves instances; their label
+sequences are the *descriptors*. Distinct descriptors are partitioned
+into train/valid/test, which makes the splits inductive: an evaluation
+query can only be resolved by composing rules in a combination never
+seen in training.
 
 An instance embeds one resolution path in a noisy neighborhood sampled
 by bounded BFS, with any path shorter than the resolution path pruned
@@ -20,7 +22,13 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DegenerateWorldError, GenerationError
-from .resolver import resolve_descriptor, validate_instance
+from .resolver import (
+    _distances_to,
+    instance_adjacency,
+    iter_simple_path_labels,
+    resolve_descriptor,
+    validate_instance,
+)
 from .rules import RelationId, RuleSet
 from .seeds import derive_seed
 from .worldgraph import GenConfig, NodeId, WorldGraph
@@ -98,73 +106,37 @@ def collect_descriptors(
 ) -> DescriptorCollection:
     """Enumerate alternate walks for every edge of the world graph.
 
-    Walks are simple, directed, of length 2..e, and enumerated in
-    deterministic depth-first order (successors sorted). Identical
-    (edge, descriptor) combinations are deduplicated keeping the first
-    walk found. Enumeration per source stops once every outgoing edge
-    hit ``max_walks_per_edge`` walks; affected edges are counted in
+    An edge's alternate walks are the simple directed paths of 2..e edges
+    between its endpoints, in the depth-first order of
+    ``resolver.iter_simple_path_labels`` over successors sorted by (node,
+    label). Identical (edge, descriptor) combinations are deduplicated
+    keeping the first walk found. An edge's enumeration stops at its
+    ``max_walks_per_edge + 1``-th walk, and the edge counts in
     ``truncated_edges``.
     """
     if e < 2:
         raise ConfigError(f"max walk length must be at least 2, got {e}")
-    adj: dict[NodeId, list[tuple[NodeId, RelationId]]] = {}
+    succ, pred = instance_adjacency((u, r, v) for (u, v), r in sorted(g.edges.items()))
+    tables: dict[NodeId, dict[NodeId, int]] = {}  # one distance table per sink
+    pairs: list[DescriptorPair] = []
+    truncated = 0
     for (u, v), r in g.edges.items():
-        adj.setdefault(u, []).append((v, r))
-    for nbrs in adj.values():
-        nbrs.sort()
-
-    by_edge: dict[
-        tuple[NodeId, RelationId, NodeId], dict[tuple[RelationId, ...], tuple[NodeId, ...]]
-    ] = {(u, r, v): {} for (u, v), r in g.edges.items()}
-    targets_of: dict[NodeId, dict[NodeId, RelationId]] = {}
-    for (u, v), r in g.edges.items():
-        targets_of.setdefault(u, {})[v] = r
-
-    truncated: set[tuple[NodeId, RelationId, NodeId]] = set()
-
-    for source, targets in targets_of.items():
-        walk_counts = {v: 0 for v in targets}
-        open_targets = set(targets)
-        path_nodes = [source]
-        path_labels: list[RelationId] = []
-        visited = {source}
-
-        def walk(node: int) -> None:
-            if not open_targets:
-                return
-            depth = len(path_labels)
-            for v, r in adj.get(node, ()):
-                if not open_targets:
-                    return
-                length = depth + 1
-                if v in targets and length >= 2 and v in open_targets:
-                    walk_counts[v] += 1
-                    if walk_counts[v] > max_walks_per_edge:
-                        truncated.add((source, targets[v], v))
-                        open_targets.discard(v)
-                    else:
-                        edge = (source, targets[v], v)
-                        descriptor = tuple(path_labels) + (r,)
-                        by_edge[edge].setdefault(
-                            descriptor, tuple(path_nodes) + (v,)
-                        )
-                if v not in visited and length < e:
-                    visited.add(v)
-                    path_nodes.append(v)
-                    path_labels.append(r)
-                    walk(v)
-                    path_labels.pop()
-                    path_nodes.pop()
-                    visited.remove(v)
-
-        walk(source)
-
-    pairs = [
-        DescriptorPair(edge=edge, descriptor=descriptor, path=path)
-        for edge, walks in by_edge.items()
-        for descriptor, path in walks.items()
-    ]
-    return DescriptorCollection(pairs=pairs, truncated_edges=len(truncated))
+        distances = tables.get(v)
+        if distances is None:
+            distances = tables[v] = _distances_to(pred, v)
+        walks: dict[tuple[RelationId, ...], tuple[NodeId, ...]] = {}
+        count = 0
+        for labels, nodes in iter_simple_path_labels(succ, u, v, e, to_sink=distances):
+            if len(labels) < 2:
+                continue  # the edge itself
+            count += 1
+            if count > max_walks_per_edge:
+                truncated += 1
+                break
+            if labels not in walks:
+                walks[labels] = (*nodes, v)
+        pairs += [DescriptorPair((u, r, v), labels, path) for labels, path in walks.items()]
+    return DescriptorCollection(pairs=pairs, truncated_edges=truncated)
 
 
 def split_descriptors(

@@ -379,27 +379,22 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
     ``derivation-ambiguity``: an edgeless pair derives two or more labels.
     Only edge conflicts fail generation.
     """
-    labels = derive_closure(graph.edge_list(), rules)
-    diagnostics: list[Diagnostic] = []
-    for (u, v), derived in sorted(labels.items()):
+    found: dict[tuple[NodeId, NodeId], Diagnostic] = {}
+    for (u, v), derived in derive_closure(graph.edge_list(), rules).items():
         edge_label = graph.edges.get((u, v))
         if edge_label is not None:
             extras = sorted(derived - {edge_label})
             if extras:
-                diagnostics.append(
-                    Diagnostic(
-                        kind="edge-conflict",
-                        detail=f"pair ({u}, {v}) has edge {edge_label} but derives {extras}",
-                    )
+                found[(u, v)] = Diagnostic(
+                    kind="edge-conflict",
+                    detail=f"pair ({u}, {v}) has edge {edge_label} but derives {extras}",
                 )
         elif len(derived) > 1:
-            diagnostics.append(
-                Diagnostic(
-                    kind="derivation-ambiguity",
-                    detail=f"pair ({u}, {v}) derives {sorted(derived)}",
-                )
+            found[(u, v)] = Diagnostic(
+                kind="derivation-ambiguity",
+                detail=f"pair ({u}, {v}) derives {sorted(derived)}",
             )
-    return diagnostics
+    return [found[pair] for pair in sorted(found)]  # sorts what it reports, not every pair
 
 
 def worldgraph_from_dict(data: dict) -> WorldGraph:

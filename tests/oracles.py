@@ -9,6 +9,8 @@ way so a test can pin the package's version equal to it:
 - :func:`reference_simple_path_labels` is the recursive simple-path walk
   the iterative ``resolver.iter_simple_path_labels`` replaced, on its own
   sorted adjacency and distance table;
+- :func:`reference_collect_descriptors` is the recursive per-source walk
+  ``sampler.collect_descriptors`` replaced with that iterative one;
 - :func:`reference_validate_instance` certifies an instance by walking
   every simple path of resolution length with that recursive walk,
   against ``resolver.validate_instance``;
@@ -30,7 +32,8 @@ from logicworlds.resolver import (
     resolve_descriptor,
 )
 from logicworlds.rules import RelationId, RuleSet, compose
-from logicworlds.sampler import Instance
+from logicworlds.sampler import MAX_WALKS_PER_EDGE, DescriptorCollection, DescriptorPair, Instance
+from logicworlds.worldgraph import WorldGraph
 
 BRUTE_FORCE_MAX_LEN = 12  # Catalan(11) = 58786 bracketings; enough for an oracle
 
@@ -88,8 +91,9 @@ def shortest_distance(rev: dict[int, list[int]], source: int, sink: int) -> int 
 
 
 def reference_simple_path_labels(edges, source, sink, max_len):
-    """Label sequences of the simple source->sink paths of at most ``max_len``
-    edges, walked recursively.
+    """``(labels, nodes)`` of the simple source->sink paths of at most
+    ``max_len`` edges, walked recursively; ``nodes`` are the path's nodes
+    before the sink.
 
     It builds its own sorted successor lists, reverse adjacency and
     distance table, sharing no code with the resolver's walk.
@@ -114,13 +118,14 @@ def reference_simple_path_labels(edges, source, sink, max_len):
     if source not in to_sink:
         return
     path_labels = []
+    path_nodes = [source]
     visited = {source}
 
     def walk(node):
         for v, r in adj.get(node, ()):
             length = len(path_labels) + 1
             if v == sink:
-                yield tuple(path_labels) + (r,)
+                yield tuple(path_labels) + (r,), tuple(path_nodes)
                 continue
             if v in visited or length >= max_len:
                 continue
@@ -128,11 +133,79 @@ def reference_simple_path_labels(edges, source, sink, max_len):
                 continue
             visited.add(v)
             path_labels.append(r)
+            path_nodes.append(v)
             yield from walk(v)
+            path_nodes.pop()
             path_labels.pop()
             visited.remove(v)
 
     yield from walk(source)
+
+
+def reference_collect_descriptors(
+    g: WorldGraph, e: int, max_walks_per_edge: int = MAX_WALKS_PER_EDGE
+) -> DescriptorCollection:
+    """Every edge's alternate walks of 2..e edges from one recursive walk per
+    source over successors sorted by (node, label), which closes a target
+    at its ``max_walks_per_edge + 1``-th walk and stops once every target
+    of the source is closed.
+
+    It consults the visited set before entering a node but not before
+    recording a walk's end, so on a cyclic graph it also records walks
+    that return to a node they passed; world graphs are acyclic.
+    """
+    adj = {}
+    for (u, v), r in g.edges.items():
+        adj.setdefault(u, []).append((v, r))
+    for nbrs in adj.values():
+        nbrs.sort()
+    by_edge = {(u, r, v): {} for (u, v), r in g.edges.items()}
+    targets_of = {}
+    for (u, v), r in g.edges.items():
+        targets_of.setdefault(u, {})[v] = r
+    truncated = set()
+
+    for source, targets in targets_of.items():
+        walk_counts = {v: 0 for v in targets}
+        open_targets = set(targets)
+        path_nodes = [source]
+        path_labels = []
+        visited = {source}
+
+        def walk(node):
+            if not open_targets:
+                return
+            depth = len(path_labels)
+            for v, r in adj.get(node, ()):
+                if not open_targets:
+                    return
+                length = depth + 1
+                if v in targets and length >= 2 and v in open_targets:
+                    walk_counts[v] += 1
+                    if walk_counts[v] > max_walks_per_edge:
+                        truncated.add((source, targets[v], v))
+                        open_targets.discard(v)
+                    else:
+                        by_edge[(source, targets[v], v)].setdefault(
+                            tuple(path_labels) + (r,), tuple(path_nodes) + (v,)
+                        )
+                if v not in visited and length < e:
+                    visited.add(v)
+                    path_nodes.append(v)
+                    path_labels.append(r)
+                    walk(v)
+                    path_labels.pop()
+                    path_nodes.pop()
+                    visited.remove(v)
+
+        walk(source)
+
+    pairs = [
+        DescriptorPair(edge=edge, descriptor=descriptor, path=path)
+        for edge, walks in by_edge.items()
+        for descriptor, path in walks.items()
+    ]
+    return DescriptorCollection(pairs=pairs, truncated_edges=len(truncated))
 
 
 def reference_validate_instance(rules: RuleSet, inst: Instance) -> ValidationReport:
@@ -168,7 +241,7 @@ def reference_validate_instance(rules: RuleSet, inst: Instance) -> ValidationRep
 
     path_consistent = matches
     if path_consistent:
-        for labels in reference_simple_path_labels(inst.edges, inst.source, inst.sink, n):
+        for labels, _ in reference_simple_path_labels(inst.edges, inst.source, inst.sink, n):
             if len(labels) == n and not resolve_descriptor(rules, labels) <= {inst.target}:
                 path_consistent = False
                 break

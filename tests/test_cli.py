@@ -670,8 +670,9 @@ def _repeat_first_pair(relabel):
 class TestWorldGraphIsTyped:
     """``world_graph.json`` holds a graph the writer could write: ``nodes``
     a non-negative JSON integer, each edge three JSON integers (a bool is
-    none) with node ids below ``nodes``, and no (u, v) pair twice. Every
-    reader refuses anything else, naming the file."""
+    none) with node ids below ``nodes`` and a relation of the world's
+    alphabet, and no (u, v) pair twice. Every reader refuses anything
+    else, naming the file."""
 
     @pytest.mark.parametrize(
         "tamper",
@@ -696,6 +697,17 @@ class TestWorldGraphIsTyped:
     ):
         broken, file = tampered_copy(suite_dir, tmp_path, "rule_0/world_graph.json", tamper)
         refused_by_every_reader(broken, f"{file}: bad record (", capsys, "--world-id", "0")
+
+    @pytest.mark.parametrize("relation", [-1, "K", 999])
+    def test_every_reader_refuses_a_relation_outside_the_alphabet(
+        self, suite_dir, tmp_path, capsys, relation
+    ):
+        K = json.loads((suite_dir / "manifest.json").read_text())["rules"]["K"]
+        relation = K if relation == "K" else relation
+        tamper = _first_edge_item(1, lambda doc: relation)
+        broken, file = tampered_copy(suite_dir, tmp_path, "rule_0/world_graph.json", tamper)
+        message = f"{file}: relation {relation} outside 0..{K - 1}"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
 
 class TestConfigIsTheOneSource:

@@ -343,7 +343,7 @@ def reference_candidates(rules, inst, max_len) -> set:
     """Every relation some simple source->sink path of at most ``max_len``
     edges resolves to, by the recursive walk and the brute-force resolver."""
     resolved = set()
-    for labels in reference_simple_path_labels(inst.edges, inst.source, inst.sink, max_len):
+    for labels, _ in reference_simple_path_labels(inst.edges, inst.source, inst.sink, max_len):
         resolved |= brute_force_resolve(rules, labels)
     return resolved
 
@@ -417,9 +417,12 @@ class TestGraphHelpers:
         adj, rev = instance_adjacency(edges)
         for max_len in (4, 3, 2):
             reference = list(reference_simple_path_labels(edges, 0, 2, max_len))
-            given = list(
-                iter_simple_path_labels(adj, 0, 2, max_len, to_sink=_distances_to(rev, 2))
-            )
+            given = [
+                (labels, tuple(nodes))  # the walk's live node list, copied
+                for labels, nodes in iter_simple_path_labels(
+                    adj, 0, 2, max_len, to_sink=_distances_to(rev, 2)
+                )
+            ]
             assert reference == given and reference
 
     @settings(max_examples=300, deadline=None)
@@ -429,7 +432,10 @@ class TestGraphHelpers:
         edges, source, sink, max_len = query
         # successor lists in the reference's (node, label) order
         adj, rev = instance_adjacency(sorted(edges, key=lambda e: (e[0], e[2], e[1])))
-        walked = list(
-            iter_simple_path_labels(adj, source, sink, max_len, to_sink=_distances_to(rev, sink))
-        )
+        walked = [
+            (labels, tuple(nodes))  # the walk's live node list, copied
+            for labels, nodes in iter_simple_path_labels(
+                adj, source, sink, max_len, to_sink=_distances_to(rev, sink)
+            )
+        ]
         assert walked == list(reference_simple_path_labels(edges, source, sink, max_len))

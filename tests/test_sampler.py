@@ -8,7 +8,9 @@ from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.resolver import instance_adjacency, resolve_descriptor, validate_instance
 from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.sampler import (
+    MAX_WALKS_PER_EDGE,
     SPLIT_NAMES,
+    DescriptorPair,
     _remove_shortcuts,
     build_dataset,
     collect_descriptors,
@@ -17,7 +19,7 @@ from logicworlds.sampler import (
 )
 from logicworlds.worldgraph import GenConfig, WorldGraph, generate_world_graph
 
-from oracles import shortest_distance
+from oracles import reference_collect_descriptors, shortest_distance
 
 
 def chain_graph():
@@ -97,6 +99,43 @@ class TestCollectDescriptors:
         )
         distinct = collect_descriptors(graph, cfg.max_walk_len).distinct_descriptors()
         assert 20 <= len(distinct) <= 10_000
+
+
+@st.composite
+def dag_world_graphs(draw):
+    """A world graph of up to 8 nodes whose edges run forward in a drawn
+    node order (so it is acyclic), in drawn insertion order."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(forward), unique=True, max_size=len(forward)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(keys), max_size=len(keys)))
+    return WorldGraph(node_count=n, edges=dict(zip(keys, labels)))
+
+
+class TestCollectDescriptorsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(dag_world_graphs(), st.integers(2, 5))
+    def test_equals_the_recursive_per_source_walk(self, graph, e):
+        for cap in (1, 2, MAX_WALKS_PER_EDGE):
+            walked = collect_descriptors(graph, e, max_walks_per_edge=cap)
+            reference = reference_collect_descriptors(graph, e, max_walks_per_edge=cap)
+            # pairs in order, each with its first walk, and the truncation count
+            assert walked == reference
+
+    def test_cyclic_graph_records_no_walk_through_a_node_twice(self):
+        # 0 -> 1 -> 2 -> 1 returns to 1; no edge has a simple alternate walk
+        graph = WorldGraph(node_count=3, edges={(0, 1): 0, (1, 2): 1, (2, 1): 2})
+        assert collect_descriptors(graph, 3).pairs == []
+
+    def test_walk_longer_than_the_recursion_limit(self):
+        n = 1_500
+        edges = {(i, i + 1): 0 for i in range(n - 1)}
+        edges[(0, n - 1)] = 1
+        collection = collect_descriptors(WorldGraph(node_count=n, edges=edges), n)
+        assert collection.pairs == [
+            DescriptorPair(edge=(0, 1, n - 1), descriptor=(0,) * (n - 1), path=tuple(range(n)))
+        ]
 
 
 def dummy_descriptors(n):

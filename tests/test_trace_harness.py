@@ -37,7 +37,8 @@ def test_traced_run_succeeds_and_counts_the_golden_suite(tmp_path):
     assert metrics["worldgraph.graphs"] == 14
     assert metrics["sampler.instances"] == 420
     assert metrics["generate.resolver.resolve_descriptor_calls"] > 0
-    # the certifier walks instances with the counted iter_simple_path_labels
+    # descriptor collection and certification both walk with the counted
+    # iter_simple_path_labels
     assert metrics["generate.resolver.simple_paths"] > 0
     assert metrics["suite.plan_suite_s"] > 0
     assert metrics["dataset_io.read_manifest_s"] > 0
