@@ -274,7 +274,8 @@ def read_world(
       node ids below ``nodes``, no pair twice; and each relation must be
       of the world's alphabet, ``0..K-1``;
     - each instance line must keep the schema, hold no ``true`` or
-      ``false``, be of world ``world_id``, have a descriptor of 2 to
+      ``false``, be of world ``world_id``, label every edge with a
+      relation of the alphabet, have a descriptor of 2 to
       ``gen.max_walk_len`` relations, and share no descriptor with an
       earlier split of the world (the inductive split);
     - each split file must hold its ``gen.graphs_per_split`` instances;
@@ -323,6 +324,9 @@ def read_world(
                 raise SuiteFormatError(
                     f"{file}:{lineno}: instance of world {line_world!r} in world {world_id}"
                 )
+            for _, r, _ in inst.edges:
+                if not 0 <= r < K:
+                    raise SuiteFormatError(f"{file}:{lineno}: relation {r} outside 0..{K - 1}")
             descriptor = inst.descriptor
             if not 2 <= len(descriptor) <= max_len:
                 raise SuiteFormatError(

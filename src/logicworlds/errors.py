@@ -10,8 +10,8 @@ class DegenerateWorldError(RuntimeError):
 
 
 class GenerationError(RuntimeError):
-    """Generated data broke an invariant the generator guarantees (a closure
-    conflict, or a descriptor or instance that fails certification)."""
+    """Generated data broke an invariant the generator guarantees (a
+    descriptor or instance that fails certification)."""
 
 
 class SuiteFormatError(ValueError):

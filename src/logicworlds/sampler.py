@@ -150,7 +150,7 @@ def split_descriptors(
     with every split guaranteed at least one descriptor. Instances inherit
     the split of their descriptor, which keeps the splits inductive.
     """
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ConfigError("split fractions must be positive and sum to 1")
     descriptors = list(descriptors)
     if len(descriptors) < len(SPLIT_NAMES):

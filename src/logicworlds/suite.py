@@ -90,8 +90,8 @@ def grow_and_sample(
 ) -> tuple[WorldGraph, WorldDataset]:
     """Grow one world's graph and sample its dataset from its derived sub-seeds.
 
-    Growth, the closure check, sampling and certification all use the
-    one ``world_rules`` (and its resolution memo).
+    Growth, sampling and certification all use the one ``world_rules``
+    (and its resolution memo).
     """
     graph = generate_world_graph(
         world_rules,

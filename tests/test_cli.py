@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 import time
@@ -175,6 +176,16 @@ class TestGenerate:
         argv = ["generate", "--config", str(config), "--out", str(tmp_path / "s")]
         assert main([*argv, "--workers", "1"]) == 2
         assert re.search(r"world \d+: gamma=1e-200 decays", capsys.readouterr().err)
+
+    def test_nan_split_fraction_is_config_error(self, tmp_path, capsys):
+        # NaN passes no comparison, so only a test it must pass (f > 0)
+        # refuses it before the splitter rounds it
+        config = tmp_path / "nan_fraction.json"
+        doc = {**tiny_suite_config().to_dict(), "split_fractions": [math.nan, 0.5, 0.5]}
+        config.write_text(json.dumps(doc))
+        argv = ["generate", "--config", str(config), "--out", str(tmp_path / "s")]
+        assert main([*argv, "--workers", "1"]) == 2
+        assert f"{config}: split_fractions needs three positive values" in capsys.readouterr().err
 
     def test_single_world_filter(self, config_file, tmp_path):
         out = tmp_path / "one"
@@ -441,6 +452,7 @@ class TestValidate:
             lambda doc: doc["config"].update(seed=True),
             lambda doc: doc["rules"]["rules"][0].pop("head"),
             lambda doc: doc.update(config=["seed"]),
+            lambda doc: doc["config"].update(split_fractions=[math.nan, 0.5, 0.5]),
         ],
         ids=[
             "worlds_not_a_list",
@@ -454,6 +466,7 @@ class TestValidate:
             "bool_seed",
             "master_rule_without_head",
             "config_not_an_object",
+            "nan_split_fraction",
         ],
     )
     def test_malformed_manifest_is_format_error_naming_it(
@@ -707,6 +720,33 @@ class TestWorldGraphIsTyped:
         tamper = _first_edge_item(1, lambda doc: relation)
         broken, file = tampered_copy(suite_dir, tmp_path, "rule_0/world_graph.json", tamper)
         message = f"{file}: relation {relation} outside 0..{K - 1}"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
+
+
+class TestInstanceEdgesAreOfTheAlphabet:
+    """Every edge of an instance line carries a relation of the world's
+    alphabet, ``0..K-1``. An unknown relation derives nothing, so an
+    instance with one still certifies; every reader refuses it instead,
+    naming the file and the line."""
+
+    @pytest.mark.parametrize("relation", [-1, "K", 999])
+    def test_every_reader_refuses_a_noise_edge_outside_the_alphabet(
+        self, suite_dir, tmp_path, capsys, relation
+    ):
+        K = json.loads((suite_dir / "manifest.json").read_text())["rules"]["K"]
+        relation = K if relation == "K" else relation
+        broken = tmp_path / "tampered"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        record = json.loads(lines[0])
+        path = record["resolution_path"]
+        on_path = set(zip(path, path[1:]))
+        noise_edge = next(e for e in record["edges"] if (e[0], e[2]) not in on_path)
+        noise_edge[1] = relation
+        lines[0] = render(record)
+        split_file.write_text("\n".join(lines) + "\n")
+        message = f"{split_file}:1: relation {relation} outside 0..{K - 1}"
         refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
 

@@ -6,9 +6,12 @@ derivations would contradict an edge label. So on every small random
 config the graph is acyclic, its closure has no edge conflict, every
 alternate walk of an edge resolves to exactly that edge's label, and
 every sampled instance certifies on its first draw. Generation raises a
-GenerationError when one of these fails, so a config the generator
-rejects (ConfigError, DegenerateWorldError) is the only allowed way out,
-and a suite it writes passes ``validate``.
+GenerationError when a descriptor does not resolve to its edge's label
+or an instance fails certification; it does not re-check the grown
+graph, whose closure guarantee is growth's own refusals and is held
+here. A config the generator rejects (ConfigError,
+DegenerateWorldError) is the only allowed way out, and a suite it
+writes passes ``validate``.
 """
 
 import tempfile

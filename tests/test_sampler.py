@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -173,6 +174,8 @@ class TestSplitDescriptors:
     def test_bad_fractions(self, rng):
         with pytest.raises(ConfigError):
             split_descriptors(dummy_descriptors(5), (0.5, 0.5, 0.5), rng)
+        with pytest.raises(ConfigError):
+            split_descriptors(dummy_descriptors(5), (math.nan, 0.5, 0.5), rng)
 
 
 class TestSampleInstance:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -359,6 +360,8 @@ class TestGenConfig:
             GenConfig(graphs_per_split=(5, 0, 5))
         with pytest.raises(ConfigError):
             GenConfig(split_fractions=(0.5, 0.5, 0.5))
+        with pytest.raises(ConfigError):
+            GenConfig(split_fractions=(math.nan, 0.5, 0.5))
 
 
 class TestIncrementalGrowth:
@@ -382,6 +385,9 @@ class TestIncrementalGrowth:
         assert list(graph.edges.items()) == list(ref.edges.items())
         assert graph.node_count == ref.node_count
         assert graph.trace == ref.trace
+        # growth's refusals alone keep the finished graph free of conflicts
+        kinds = [d.kind for d in closure_check(graph, rules)]
+        assert "edge-conflict" not in kinds
 
 
 class TestSerialization:
