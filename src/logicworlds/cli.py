@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .config import SuiteConfig, load_config
-from .dataset_io import _load_json, compute_stats, difficulty_bucket, read_world
+from .dataset_io import _load_json, compute_stats, difficulty_bucket, read_world, world_dir_name
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .partition import WorldSpec
 from .resolver import symbolic_baseline_solve, validate_instance
@@ -183,7 +183,7 @@ def cmd_validate(args) -> int:
     totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
     for world, counts in zip(worlds, results):
-        per_world[f"rule_{world.world_id}"] = counts
+        per_world[world_dir_name(world.world_id)] = counts
         for key in totals:
             totals[key] += counts[key]
     print(json.dumps({**totals, "worlds": per_world}, indent=2, sort_keys=True))
@@ -196,7 +196,7 @@ def cmd_solve(args) -> int:
     accuracies = []
     for world, accuracy in zip(worlds, results):
         accuracies.append(accuracy)
-        print(f"rule_{world.world_id} {accuracy:.3f}")
+        print(f"{world_dir_name(world.world_id)} {accuracy:.3f}")
     print(f"aggregate {sum(accuracies) / len(accuracies):.3f}")
     return EXIT_OK
 
@@ -216,7 +216,7 @@ def cmd_stats(args) -> int:
         for column, value in zip(columns, values):
             column.append(value)
         nc, nd, arl, an, ae = values
-        row = [f"rule_{world.world_id}", doc["split"], str(nc), str(nd),
+        row = [world_dir_name(world.world_id), doc["split"], str(nc), str(nd),
                f"{arl:.2f}", f"{an:.3f}", f"{ae:.3f}"]
         if scores is not None:
             acc = scores.get(world.world_id)
@@ -237,7 +237,7 @@ def _load_accuracy(path: Path, world_splits: dict[int, str]) -> dict[int, float]
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: accuracy file must map world names to numbers")
-    names = {name: wid for wid in world_splits for name in (str(wid), f"rule_{wid}")}
+    names = {name: wid for wid in world_splits for name in (str(wid), world_dir_name(wid))}
     scores = {}
     for key, value in doc.items():
         wid = names.get(key)

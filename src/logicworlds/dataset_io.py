@@ -276,8 +276,8 @@ def read_world(
     - each instance line must keep the schema, hold no ``true`` or
       ``false``, be of world ``world_id``, label every edge with a
       relation of the alphabet, have a descriptor of 2 to
-      ``gen.max_walk_len`` relations, and share no descriptor with an
-      earlier split of the world (the inductive split);
+      ``gen.max_walk_len`` relations of the alphabet, and share no
+      descriptor with an earlier split of the world (the inductive split);
     - each split file must hold its ``gen.graphs_per_split`` instances;
     - ``stats.json`` must be ``compute_stats(dataset, split)`` of what was
       read, ``sampling_info`` taken from the file.
@@ -332,6 +332,10 @@ def read_world(
                 raise SuiteFormatError(
                     f"{file}:{lineno}: descriptor length {len(descriptor)} outside 2..{max_len}"
                 )
+            if descriptor not in split_of:  # a repeated descriptor was checked when first seen
+                for r in descriptor:
+                    if not 0 <= r < K:
+                        raise SuiteFormatError(f"{file}:{lineno}: relation {r} outside 0..{K - 1}")
             first = split_of.setdefault(descriptor, name)
             if first != name:
                 raise SuiteFormatError(

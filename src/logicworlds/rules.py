@@ -138,15 +138,14 @@ def invert_rule(rule: BinaryRule, alphabet: RelationAlphabet) -> BinaryRule:
 def generate_rules(alphabet: RelationAlphabet, rng: random.Random) -> RuleSet:
     """Sample a consistent rule set over the alphabet.
 
-    Candidate triples (r_i, r_j, r_k) are visited in an rng-permuted
-    order. Cyclical candidates (head repeating a body relation) are
-    rejected outright. A surviving candidate is installed together with
-    its inverse rule; if the inverse's body is already occupied, the
-    occupying rule and its own inverse partner are removed first, so the
-    set stays closed under inversion at every step. A candidate whose
-    inverse shares its body but not its head is unsatisfiable and
-    skipped. A final sweep drops later-inserted rule pairs that
-    participate in dependency cycles.
+    Candidate triples (r_i, r_j, r_k), r_k not in the body, are visited
+    once each in an rng-permuted order. A candidate whose body is taken
+    is skipped. A candidate whose inverse shares its body but not its
+    head is unsatisfiable and skipped, leaving the body free. Any other
+    candidate takes its body and its inverse's: it is kept together with
+    its inverse rule (or alone, if self-inverse) unless the pair's arcs
+    would close a cycle in the dependency digraph of the rules kept so
+    far; then both are dropped, and their bodies stay taken.
     """
     K = alphabet.size
     candidates = [
@@ -158,40 +157,26 @@ def generate_rules(alphabet: RelationAlphabet, rng: random.Random) -> RuleSet:
     ]
     rng.shuffle(candidates)
 
-    body_to_group: dict[tuple[RelationId, RelationId], int] = {}
-    groups: list[list[BinaryRule] | None] = []
-
-    def install(pair: list[BinaryRule]) -> None:
-        gid = len(groups)
-        groups.append(pair)
-        for rule in pair:
-            body_to_group[rule.body] = gid
-
-    def evict(body: tuple[RelationId, RelationId]) -> None:
-        gid = body_to_group[body]
-        for rule in groups[gid] or ():
-            del body_to_group[rule.body]
-        groups[gid] = None
-
+    taken: set[tuple[RelationId, RelationId]] = set()
+    kept: list[BinaryRule] = []
+    out: list[set[RelationId]] = [set() for _ in range(K)]  # the kept arcs, acyclic
     for i, j, k in candidates:
-        if (i, j) in body_to_group:  # most bodies are taken: skip before building a rule
+        if (i, j) in taken:  # most bodies are taken: skip before building a rule
             continue
         rule = BinaryRule(body=(i, j), head=k)
         inverse = invert_rule(rule, alphabet)
         if inverse == rule:
-            install([rule])
+            group = (rule,)
         elif inverse.body == rule.body:
             # The pair would need two heads on one body: drop both.
             continue
         else:
-            if inverse.body in body_to_group:
-                evict(inverse.body)
-            install([rule, inverse])
-
-    kept: list[BinaryRule] = []
-    out: list[set[RelationId]] = [set() for _ in range(K)]  # the kept arcs, acyclic
-    for group in filter(None, groups):
-        new_arcs = {(a, b) for rule in group for a, b in rule.arcs() if b not in out[a]}
+            # Bodies are only ever taken with their inverse bodies, so the
+            # taken set is closed under (i, j) -> (inv j, inv i): the
+            # inverse body of a free body is free too.
+            group = (rule, inverse)
+        taken.update(r.body for r in group)
+        new_arcs = {(a, b) for r in group for a, b in r.arcs() if b not in out[a]}
         for a, b in new_arcs:
             out[a].add(b)
         # a cycle now runs through a new arc: its head reaches its tail

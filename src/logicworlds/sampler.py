@@ -368,9 +368,8 @@ def build_dataset(
     adjacency = incident_adjacency(g)
     instances: dict[str, list[Instance]] = {name: [] for name in SPLIT_NAMES}
     for split, count in zip(SPLIT_NAMES, cfg.graphs_per_split):
+        # split_descriptors gives every split a descriptor, and each has a pair
         pool = pools[split]
-        if not pool:
-            raise DegenerateWorldError(f"world {world_id}: empty {split} pool")
         descriptors = list(pool)
         seeds = [rng.getrandbits(64) for _ in range(count)]
         for index in range(count):

@@ -319,12 +319,12 @@ def generate_world_graph(
                     assert accepted
                     track_expandable(u, r_t, v)
                     trace.append((SEED_FRESH, u, r_t, v))
-                elif expandable:
+                else:
+                    # node_pool >= 3 makes the first seed fresh, and its label
+                    # heads a rule: from then on ``expandable`` is never empty
                     u, r_t, v = expandable[rng.randrange(len(expandable))]
                     trace.append((SEED_EXISTING, u, r_t, v))
                     cycle_expandable.append((u, r_t, v))
-                else:
-                    break
             # the seed heads a rule, so the cycle always has a candidate; a
             # refused rewrite changes neither the candidates nor the weights
             cand_weights = [
@@ -338,7 +338,7 @@ def generate_world_graph(
                     break
             if not expanded and step > 0:
                 break
-        if used and min(used) >= 1:
+        if min(used) >= 1:  # the world has rules, so ``used`` is not empty
             completed += 1
             weights = [1.0] * len(rules)
             used = [0] * len(rules)

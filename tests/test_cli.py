@@ -661,6 +661,20 @@ def tampered_copy(suite_dir, tmp_path, name, tamper):
     return broken, file
 
 
+def tampered_first_line(suite_dir, tmp_path, tamper):
+    """A copy of the suite whose ``rule_0/train.jsonl`` line 1 is re-written
+    after ``tamper``; returns the copy and that file."""
+    broken = tmp_path / "tampered"
+    shutil.copytree(suite_dir, broken)
+    split_file = broken / "rule_0" / "train.jsonl"
+    lines = split_file.read_text().splitlines()
+    record = json.loads(lines[0])
+    tamper(record)
+    lines[0] = render(record)
+    split_file.write_text("\n".join(lines) + "\n")
+    return broken, split_file
+
+
 def _first_edge_item(position, value_of):
     """A tamper that sets item ``position`` of the graph's first edge to ``value_of(doc)``."""
 
@@ -735,17 +749,37 @@ class TestInstanceEdgesAreOfTheAlphabet:
     ):
         K = json.loads((suite_dir / "manifest.json").read_text())["rules"]["K"]
         relation = K if relation == "K" else relation
-        broken = tmp_path / "tampered"
-        shutil.copytree(suite_dir, broken)
-        split_file = broken / "rule_0" / "train.jsonl"
-        lines = split_file.read_text().splitlines()
-        record = json.loads(lines[0])
-        path = record["resolution_path"]
-        on_path = set(zip(path, path[1:]))
-        noise_edge = next(e for e in record["edges"] if (e[0], e[2]) not in on_path)
-        noise_edge[1] = relation
-        lines[0] = render(record)
-        split_file.write_text("\n".join(lines) + "\n")
+
+        def tamper(record):
+            path = record["resolution_path"]
+            on_path = set(zip(path, path[1:]))
+            noise_edge = next(e for e in record["edges"] if (e[0], e[2]) not in on_path)
+            noise_edge[1] = relation
+
+        broken, split_file = tampered_first_line(suite_dir, tmp_path, tamper)
+        message = f"{split_file}:1: relation {relation} outside 0..{K - 1}"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
+
+
+class TestDescriptorsAreOfTheAlphabet:
+    """Every relation of an instance's descriptor lies in ``0..K-1``. Only
+    certification reads the descriptor against the path, so ``solve`` and
+    ``stats`` would take one outside the alphabet; every reader refuses it
+    instead, naming the file and the line."""
+
+    @pytest.mark.parametrize("relation", [-1, "K", 999])
+    def test_every_reader_refuses_a_descriptor_outside_the_alphabet(
+        self, suite_dir, tmp_path, capsys, relation
+    ):
+        K = json.loads((suite_dir / "manifest.json").read_text())["rules"]["K"]
+        relation = K if relation == "K" else relation
+
+        def tamper(record):
+            record["descriptor"][0] = relation
+
+        broken, split_file = tampered_first_line(suite_dir, tmp_path, tamper)
+        # stats.json is recomputed, so only the descriptor's relation is wrong
+        recompute_stats(broken / "rule_0")
         message = f"{split_file}:1: relation {relation} outside 0..{K - 1}"
         refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import warnings
 
 import pytest
 
@@ -108,6 +111,22 @@ class TestGenerateRules:
         with pytest.warns(UserWarning, match="empty rule set"):
             rules = generate_rules(alpha, random.Random(0))
         assert len(rules) == 0
+
+    def test_rule_sets_over_many_alphabets_are_pinned(self):
+        # K = 2..24 x seeds 0..2 x symmetric fractions 0, 1/2, 1, and
+        # K = 32, 48, 64 once: 210 rule sets, one digest
+        cases = [(K, s, f) for K in range(2, 25) for s in range(3) for f in (0.0, 0.5, 1.0)]
+        cases += [(32, 0, 0.5), (48, 0, 0.5), (64, 0, 0.5)]
+        digest = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # some small alphabets yield no rules
+            for K, seed, fraction in cases:
+                alpha = generate_alphabet(K, random.Random(seed), fraction)
+                rules = generate_rules(alpha, random.Random(seed))
+                digest.update(json.dumps(ruleset_to_dict(rules), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "2f75e8616c2da248b93cc29c0ce283a863075529f43630f9c9ee77348ee0a93f"
+        )
 
     def test_dependency_digraph_acyclic(self, rng):
         alpha = generate_alphabet(10, rng)

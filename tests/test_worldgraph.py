@@ -382,6 +382,9 @@ class TestIncrementalGrowth:
                 generate_world_graph(rules, cfg, random.Random(seed), world_id=7)
             return
         graph = generate_world_graph(rules, cfg, random.Random(seed))
+        # node_pool >= 3, so growth always seeds fresh first: ``expandable``
+        # is never empty when an existing edge is to be seeded
+        assert graph.trace[0][0] == SEED_FRESH
         assert list(graph.edges.items()) == list(ref.edges.items())
         assert graph.node_count == ref.node_count
         assert graph.trace == ref.trace
