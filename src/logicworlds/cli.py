@@ -22,8 +22,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import SuiteConfig, load_config
-from .dataset_io import _load_json, compute_stats, difficulty_bucket, read_world, world_dir_name
+from .config import SuiteConfig, load_config, load_json
+from .dataset_io import compute_stats, difficulty_bucket, read_world, world_dir_name
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
 from .partition import WorldSpec
 from .resolver import symbolic_baseline_solve, validate_instance
@@ -101,9 +101,9 @@ def cmd_generate(args) -> int:
     config = load_config(args.config) if args.config else SuiteConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out = args.out or (Path(config.output_dir) if config.output_dir else None)
+    out = args.out
     if out is None:
-        raise ConfigError("no output directory (--out or config output_dir)")
+        raise ConfigError("no output directory (--out)")
     suite = plan_suite(config)
     info = generate_suite_to_disk(suite, out, workers=args.workers, world_ids=_only(args))
 
@@ -234,7 +234,7 @@ def _load_accuracy(path: Path, world_splits: dict[int, str]) -> dict[int, float]
     ``world_splits`` (the plan's), as ``rule_<n>`` or ``<n>`` with ``n`` the
     id in decimal, and whose values are JSON numbers in [0, 1]; anything
     else is a ConfigError naming the file and the key."""
-    doc = _load_json(path)
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: accuracy file must map world names to numbers")
     names = {name: wid for wid in world_splits for name in (str(wid), world_dir_name(wid))}

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
@@ -32,7 +31,6 @@ class SuiteConfig:
     valid_worlds: int = 3
     test_worlds: int = 3
     gen: GenConfig = field(default_factory=GenConfig)
-    output_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not 2 <= self.num_relations <= MAX_RELATIONS:
@@ -85,21 +83,26 @@ def _has_type(value, hint) -> bool:
         return isinstance(value, (list, tuple)) and all(
             _has_type(item, arg) for item, arg in zip(value, args)
         )
-    if origin is UnionType:
-        return any(_has_type(value, arg) for arg in args)
     if hint is float:
         return type(value) in (int, float)
     return type(value) is hint
 
 
-def load_config(path: str | Path) -> SuiteConfig:
-    """Read and validate a JSON config file."""
+def load_json(path: str | Path):
+    """The JSON document in ``path``, a command's input file (a config or
+    an accuracy file): a missing file or invalid JSON is a ConfigError
+    naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
+
+
+def load_config(path: str | Path) -> SuiteConfig:
+    """Read and validate a JSON config file."""
+    doc = load_json(path)
     try:
         return config_from_dict(doc)
     except ConfigError as exc:

@@ -71,7 +71,7 @@ def difficulty_bucket(accuracy: float) -> Difficulty:
     return Difficulty.HARD
 
 
-def compute_stats(ds: WorldDataset, split: str = "train") -> dict:
+def compute_stats(ds: WorldDataset, split: str) -> dict:
     """The world's ``stats.json`` document, tagged with its world ``split``.
 
     NC, ND, ARL, AN and AE aggregate over all instances of the dataset
@@ -310,8 +310,6 @@ def read_world(
         except FileNotFoundError:
             raise SuiteFormatError(f"{file}: missing split file")
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
             try:
                 if "true" in line or "false" in line:  # a bool equals 1 or 0; never written
                     raise ValueError("true or false in an instance line")

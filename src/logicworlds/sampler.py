@@ -350,9 +350,9 @@ def build_dataset(
     configured per-split instance counts are reached. Each instance is
     drawn once, from its own sub-seed, and must pass resolver
     validation; one that fails is a GenerationError naming the world,
-    the split and the instance index. The ``sampling_info`` keys
-    ``resamples``, ``unresolved``, ``ambiguous`` and ``mismatched``
-    therefore always read 0.
+    the split and the instance index. ``sampling_info`` holds the
+    ``descriptor_pairs``, ``distinct_descriptors`` and ``truncated_edges``
+    counts of the world's :func:`collect_descriptors`.
     """
     collection = collect_descriptors(g, cfg.max_walk_len)
     pairs = usable_pairs(rules, collection, world_id)
@@ -386,14 +386,8 @@ def build_dataset(
 
     info = {
         "descriptor_pairs": len(collection.pairs),
-        "usable_pairs": len(pairs),
         "distinct_descriptors": len(assignment),
         "truncated_edges": collection.truncated_edges,
-        # invariants since every draw is used as is; kept for the file format
-        "resamples": 0,
-        "unresolved": 0,
-        "ambiguous": 0,
-        "mismatched": 0,
     }
     return WorldDataset(
         world_id=world_id,

@@ -137,15 +137,13 @@ def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> S
 
 def manifest_doc(suite: Suite) -> dict:
     """The plan's ``manifest.json`` document, the one statement of its format:
-    ``config`` and what it gives (``seed``, the permuted master ``rules``,
-    ``worlds`` with splits, ``similarity``, the ``protocols`` orderings)."""
-    config = suite.config.to_dict()
+    ``config`` and what it gives (the permuted master ``rules``, ``worlds``
+    with splits, ``similarity``, the ``protocols`` orderings)."""
     ids = [w.world_id for w in suite.worlds]
     train = [wid for wid in ids if suite.world_splits[wid] == "train"]
     heldout = [wid for wid in ids if suite.world_splits[wid] != "train"]
     return {
-        "config": config,
-        "seed": config["seed"],
+        "config": suite.config.to_dict(),
         "rules": ruleset_to_dict(suite.rules),
         "worlds": [
             {

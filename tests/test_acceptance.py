@@ -162,7 +162,7 @@ def test_criterion_5_structural_statistics_envelope():
     for world in picks:
         world_rules = select_rules(suite.rules, world.rule_indices)
         _, ds = grow_and_sample(config, world_rules, world.world_id)
-        stats = compute_stats(ds)
+        stats = compute_stats(ds, suite.world_splits[world.world_id])
         rows.append((world.world_id, stats))
         assert 2.0 <= stats["avg_resolution_length"] <= 10.0, world.world_id
         assert stats["num_classes"] <= 20, world.world_id

@@ -517,7 +517,7 @@ class TestValidate:
                 "similarity",
                 lambda doc: doc["similarity"][0].__setitem__(0, float(doc["similarity"][0][0])),
             ),
-            ("seed", lambda doc: doc.update(seed=doc["seed"] + 1)),
+            ("seed", lambda doc: doc.update(seed=doc["config"]["seed"])),  # the old format
             ("note", lambda doc: doc.update(note="x")),
             ("worlds", lambda doc: doc["worlds"][0].update(note="x")),
             ("rules", lambda doc: doc["rules"]["rules"][0].update(note="x")),
@@ -531,7 +531,7 @@ class TestValidate:
             "similarity",
             "protocols",
             "similarity_as_float",
-            "seed_other_than_config",
+            "seed_beside_config",
             "unknown_key",
             "unknown_world_key",
             "unknown_master_rule_key",
@@ -814,6 +814,14 @@ class TestConfigIsTheOneSource:
         assert main(["solve", str(broken), "--world-id", "0"]) == 2
         assert f"{file}: not a JSON object" in capsys.readouterr().err
 
+    def test_config_with_output_dir_is_refused(self, suite_dir, tmp_path, capsys):
+        """A manifest written while the config held ``output_dir``: regenerate it."""
+        broken, file = tampered_copy(
+            suite_dir, tmp_path, "manifest.json", lambda doc: doc["config"].update(output_dir=None)
+        )
+        message = f"{file}: bad record (ConfigError(\"unknown config keys: ['output_dir']\"))"
+        refused_by_every_reader(broken, message, capsys)
+
     def test_huge_num_relations_is_refused_before_planning(self, suite_dir, tmp_path, capsys):
         broken, file = tampered_copy(
             suite_dir, tmp_path, "manifest.json", lambda doc: doc["config"].update(num_relations=10_000)
@@ -902,6 +910,21 @@ class TestInstanceCounts:
         split_file.write_text("\n".join(lines[:15]) + "\n")
         recompute_stats(broken / "rule_0")
         message = f"{split_file}: 15 instances, not the 20 of graphs_per_split"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
+
+
+class TestBlankLines:
+    """The writer ends every line with an instance, so a blank line in a
+    split file is a bad instance record in every reader."""
+
+    @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+    def test_every_reader_refuses_a_blank_line(self, suite_dir, tmp_path, capsys, blank):
+        broken = tmp_path / "blank"
+        shutil.copytree(suite_dir, broken)
+        split_file = broken / "rule_0" / "train.jsonl"
+        lines = split_file.read_text().splitlines()
+        split_file.write_text("\n".join([lines[0], blank, *lines[1:]]) + "\n")
+        message = f"{split_file}:2: bad instance record"
         refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
 
@@ -1014,6 +1037,12 @@ class TestStats:
         acc.write_text(json.dumps(scores))
         assert main(["stats", str(suite_dir), "--accuracy", str(acc)]) == 2
         assert f"{acc}: " in capsys.readouterr().err
+
+    def test_missing_accuracy_file_is_config_error_naming_it(self, suite_dir, tmp_path, capsys):
+        acc = tmp_path / "missing.json"
+        assert main(["stats", str(suite_dir), "--accuracy", str(acc)]) == 2
+        err = capsys.readouterr().err
+        assert str(acc) in err and "suite file" not in err
 
     # the whole file is checked, not only the worlds a run prints
     @pytest.mark.parametrize(

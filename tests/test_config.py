@@ -38,7 +38,6 @@ suite_configs = st.builds(
     valid_worlds=st.integers(0, 5),
     test_worlds=st.integers(0, 5),
     gen=gen_configs,
-    output_dir=st.none() | st.text(),
 )
 
 
@@ -65,7 +64,6 @@ WRONG_TYPES = [
     ("num_relations", None),
     ("symmetric_fraction", "0.5"),
     ("gamma", False),
-    ("output_dir", 3),
     ("graphs_per_split", 5),
     ("graphs_per_split", [5, 5.0, 5]),
     ("split_fractions", [0.5, 0.25, "0.25"]),
@@ -100,6 +98,17 @@ def test_num_relations_is_bounded_before_any_planning():
 def test_an_int_is_a_valid_float():
     config = config_from_dict({"gamma": 1, "noise_gamma": 0, "symmetric_fraction": 1})
     assert (config.gen.gamma, config.gen.noise_gamma, config.symmetric_fraction) == (1, 0, 1)
+
+
+def test_output_dir_is_an_unknown_key(tmp_path, capsys):
+    """The output directory is ``generate --out`` alone; a config that
+    still names one is refused."""
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({**tiny_suite_config().to_dict(), "output_dir": "suite"}))
+    out = tmp_path / "suite"
+    assert main(["generate", "--config", str(config_file), "--out", str(out)]) == 2
+    assert f"{config_file}: unknown config keys: ['output_dir']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("stride", 1.5), ("seed", "abc"), ("noise_depth", 1.5)])

@@ -44,7 +44,7 @@ class TestComputeStats:
             instances={"train": [one_instance()], "valid": [], "test": []},
             max_walk_len=10,
         )
-        stats = compute_stats(ds)
+        stats = compute_stats(ds, "train")
         assert stats["num_classes"] == 1
         assert stats["num_descriptors"] == 1
         assert stats["avg_resolution_length"] == 2.0
@@ -56,7 +56,7 @@ class TestComputeStats:
             world_id=0, instances={"train": [], "valid": [], "test": []}, max_walk_len=10
         )
         with pytest.raises(ConfigError):
-            compute_stats(ds)
+            compute_stats(ds, "train")
 
     def test_distinct_counting(self):
         ds = WorldDataset(
@@ -68,7 +68,7 @@ class TestComputeStats:
             },
             max_walk_len=10,
         )
-        stats = compute_stats(ds)
+        stats = compute_stats(ds, "train")
         assert stats["num_classes"] == 2
         assert stats["num_descriptors"] == 2
 

@@ -28,7 +28,16 @@ from logicworlds.worldgraph import GenConfig
 
 GOLDEN_CONFIG = SuiteConfig(seed=5, stride=10, gen=GenConfig(graphs_per_split=(20, 5, 5)))
 GOLDEN_WORLDS = [0, 13]  # first (train) and last (test) world of the 14
-GOLDEN_SHA256 = "0e128a2fb8384f5a75d66ef4e4ba25c4c5674a0e4e6d61e6dd4eb1d9634ee8e9"
+GOLDEN_SHA256 = "94b7373bcbbd9af35f889f6cb23ab3881fff92a240951011f07971228ad8fe67"
+# The same fold over each kind of file alone, so a change that alters the
+# output on purpose shows which kinds moved while the others stay pinned.
+GOLDEN_SHA256_BY_KIND = {
+    ".jsonl": "270d4becf6d9790fb2ae671e6e7952448d24452568d64c29602a3349b3a3f6bd",
+    "manifest.json": "e865e23f9cf3c5d69aa3f943a339357bfe6a8f058c15f0ae194a8577935d882d",
+    "rules.json": "98ff5cda749440bc4fa1c1781c0df1f482428a75b1d770631759d8700fa78849",
+    "stats.json": "34e37a23dc85bd66c01c035bd1dd26e89bc0e2cc13c117d19ef2329c98fe3c02",
+    "world_graph.json": "a186c4d6a07ecd4d3d9c9b53a714a831100fb8e173df11c47926d1f57738113a",
+}
 
 # The golden suite plans only K = 20; rule generation is pinned across alphabet sizes.
 GOLDEN_RULE_SIZES = (3, 5, 12, 20, 33, 48)
@@ -39,10 +48,18 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
 
-def tree_sha256(root: Path) -> str:
-    """sha256 over every file's relative path and bytes, in sorted order."""
+def file_kind(path: Path) -> str:
+    """``.jsonl`` for a split file, else the file name."""
+    return ".jsonl" if path.suffix == ".jsonl" else path.name
+
+
+def tree_sha256(root: Path, kind: str | None = None) -> str:
+    """sha256 over every file's relative path and bytes, in sorted order;
+    given a ``kind``, over the files of that :func:`file_kind` alone."""
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if kind is not None and file_kind(path) != kind:
+            continue
         digest.update(path.relative_to(root).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -52,6 +69,13 @@ def test_tiny_suite_tree_matches_golden_digest(tmp_path):
     info = generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
     assert sorted(info) == GOLDEN_WORLDS
     assert tree_sha256(tmp_path) == GOLDEN_SHA256
+
+
+def test_each_kind_of_file_matches_its_golden_digest(tmp_path):
+    generate_suite_to_disk(plan_suite(GOLDEN_CONFIG), tmp_path, world_ids=GOLDEN_WORLDS)
+    kinds = {file_kind(p) for p in tmp_path.rglob("*") if p.is_file()}
+    assert kinds == GOLDEN_SHA256_BY_KIND.keys()
+    assert {kind: tree_sha256(tmp_path, kind) for kind in kinds} == GOLDEN_SHA256_BY_KIND
 
 
 def test_every_file_and_line_is_compact_key_sorted_json(tmp_path):

@@ -321,6 +321,9 @@ class TestBuildDataset:
     def test_sampling_info_counters(self):
         rules, cfg, graph = generated_world(seed=9)
         ds = build_dataset(graph, rules, cfg, random.Random(5))
-        info = ds.sampling_info
-        assert info["usable_pairs"] <= info["descriptor_pairs"]
-        assert info["ambiguous"] == 0 and info["mismatched"] == 0
+        collection = collect_descriptors(graph, cfg.max_walk_len)
+        assert ds.sampling_info == {
+            "descriptor_pairs": len(collection.pairs),
+            "distinct_descriptors": len(collection.distinct_descriptors()),
+            "truncated_edges": collection.truncated_edges,
+        }
