@@ -233,16 +233,19 @@ def _load_accuracy(path: Path, world_splits: dict[int, str]) -> dict[int, float]
     """World id -> accuracy from a JSON object whose keys name worlds of
     ``world_splits`` (the plan's), as ``rule_<n>`` or ``<n>`` with ``n`` the
     id in decimal, and whose values are JSON numbers in [0, 1]; anything
-    else is a ConfigError naming the file and the key."""
-    doc = load_json(path)
+    else, or a world named by two keys, is a ConfigError naming the file
+    and the key (both keys)."""
+    doc = load_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: accuracy file must map world names to numbers")
     names = {name: wid for wid in world_splits for name in (str(wid), world_dir_name(wid))}
-    scores = {}
+    scores, keys = {}, {}
     for key, value in doc.items():
         wid = names.get(key)
         if wid is None or type(value) not in (int, float) or not 0 <= value <= 1:
             raise ConfigError(f"{path}: {key!r}: {value!r} is not a world's accuracy in [0, 1]")
+        if keys.setdefault(wid, key) != key:
+            raise ConfigError(f"{path}: {keys[wid]!r} and {key!r} name the same world")
         scores[wid] = value
     return scores
 

@@ -88,21 +88,35 @@ def _has_type(value, hint) -> bool:
     return type(value) is hint
 
 
-def load_json(path: str | Path):
-    """The JSON document in ``path``, a command's input file (a config or
-    an accuracy file): a missing file or invalid JSON is a ConfigError
-    naming the file."""
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``. A missing file or a byte that is not UTF-8
+    is ``error`` (ConfigError for a command's input, SuiteFormatError for a
+    suite file) naming the file, and the line of the byte."""
     try:
-        return json.loads(Path(path).read_text())
+        data = Path(path).read_bytes()
     except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}")
+        raise error(f"{path}: file not found")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 ({exc.reason})")
+
+
+def load_json(path: str | Path, error: type[Exception]):
+    """The JSON document in ``path`` (:func:`read_text`); invalid JSON, or
+    JSON nested too deep to parse, is ``error`` naming the file."""
+    try:
+        return json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
+        raise error(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
+    except RecursionError:
+        raise error(f"{path}: invalid JSON (nested too deep)")
 
 
 def load_config(path: str | Path) -> SuiteConfig:
     """Read and validate a JSON config file."""
-    doc = load_json(path)
+    doc = load_json(path, ConfigError)
     try:
         return config_from_dict(doc)
     except ConfigError as exc:

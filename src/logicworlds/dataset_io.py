@@ -36,6 +36,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import load_json, read_text
 from .errors import ConfigError, SuiteFormatError
 from .rules import RelationId, RuleSet, ruleset_to_dict
 from .sampler import SPLIT_NAMES, Instance, WorldDataset
@@ -145,16 +146,8 @@ def extend_graph(edges: list[tuple[int, RelationId, int]]) -> ExtendedGraph:
 
 
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _load_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise SuiteFormatError(f"{path}: missing suite file")
-    except json.JSONDecodeError as exc:
-        raise SuiteFormatError(f"{path}:{exc.lineno}: {exc.msg}")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def _parse(path: Path, parse, doc):
@@ -249,8 +242,8 @@ def write_world(
     _dump_json(tmp / "rules.json", ruleset_to_dict(ds.rules))
     _dump_json(tmp / "world_graph.json", {"edges": graph.edge_list(), "nodes": graph.node_count})
     for split in SPLIT_NAMES:
-        lines = [instance_to_json(inst, world_id) for inst in ds.instances[split]]
-        (tmp / f"{split}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+        lines = [instance_to_json(inst, world_id) + "\n" for inst in ds.instances[split]]
+        (tmp / f"{split}.jsonl").write_text("".join(lines), encoding="utf-8")
     _dump_json(tmp / "stats.json", compute_stats(ds, world_split))
     if final.exists():
         shutil.rmtree(final)
@@ -289,15 +282,15 @@ def read_world(
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
-    _require_derived(rules_file, _load_json(rules_file), ruleset_to_dict(rules))
+    _require_derived(rules_file, load_json(rules_file, SuiteFormatError), ruleset_to_dict(rules))
     graph_file = world_path / "world_graph.json"
-    graph = _parse(graph_file, worldgraph_from_dict, _load_json(graph_file))
+    graph = _parse(graph_file, worldgraph_from_dict, load_json(graph_file, SuiteFormatError))
     K = rules.alphabet.size
     for r in graph.edges.values():
         if not 0 <= r < K:
             raise SuiteFormatError(f"{graph_file}: relation {r} outside 0..{K - 1}")
     stats_file = world_path / "stats.json"
-    stats_doc = _load_json(stats_file)
+    stats_doc = load_json(stats_file, SuiteFormatError)
     instances: dict[str, list[Instance]] = {}
     shared = {} if shared is None else shared  # one tuple per distinct edge, path and descriptor
     split_of: dict[tuple, str] = {}  # descriptor -> the split it first appeared in
@@ -305,18 +298,14 @@ def read_world(
     for name, count in zip(SPLIT_NAMES, gen.graphs_per_split):
         file = world_path / f"{name}.jsonl"
         items = []
-        try:
-            text = file.read_text()
-        except FileNotFoundError:
-            raise SuiteFormatError(f"{file}: missing split file")
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(read_text(file, SuiteFormatError).splitlines(), start=1):
             try:
                 if "true" in line or "false" in line:  # a bool equals 1 or 0; never written
                     raise ValueError("true or false in an instance line")
                 doc = _decode_instance_line(line)
                 inst = instance_from_dict(doc, shared)
                 line_world = doc["world_id"]
-            except (KeyError, IndexError, ValueError, TypeError) as exc:
+            except (KeyError, IndexError, ValueError, TypeError, RecursionError) as exc:
                 raise SuiteFormatError(f"{file}:{lineno}: bad instance record ({exc})")
             if type(line_world) is not int or line_world != world_id:
                 raise SuiteFormatError(
@@ -361,9 +350,9 @@ def write_manifest(path: Path, doc: dict) -> None:
     _dump_json(path / "manifest.json", doc)
 
 
-def read_manifest(path: Path):
+def read_manifest(path: str | Path):
     """The parsed ``path/manifest.json`` as stored; ``suite.read_plan`` checks it."""
-    return _load_json(path / "manifest.json")
+    return load_json(Path(path) / "manifest.json", SuiteFormatError)
 
 
 __all__ = [

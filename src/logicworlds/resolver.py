@@ -7,11 +7,11 @@ fixpoint of :mod:`.worldgraph`, run over the descriptor as a path graph
 and memoized per world rule set (each distinct label tuple is resolved
 once per :class:`RuleSet`).
 
-Instance graphs are validated against the four soundness conditions a
-query must satisfy (target resolvable and unambiguous, descriptor/path
-agreement, no shortcut, all same-length paths consistent); certification
-recomputes every check from the instance alone, taking nothing from the
-sampler. :func:`symbolic_baseline_solve` is the perfect-accuracy
+Instance graphs are validated against the soundness conditions a query
+must satisfy (target resolvable and unambiguous, no shortcut, every
+simple source-to-sink path of |descriptor| edges resolving within
+{target} and the resolution path one of them), each recomputed from the
+instance alone. :func:`symbolic_baseline_solve` is the perfect-accuracy
 reference solver used as the in-repo baseline.
 
 :func:`iter_simple_path_labels`, a depth-first walk over successor
@@ -42,9 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class ValidationReport:
     """Outcome of the per-instance soundness checks.
 
-    ``path_consistent`` covers both descriptor/path agreement and the
-    requirement that every simple source-to-sink path of resolution
-    length resolves to a subset of {target}.
+    ``path_consistent``: every simple source->sink path of |descriptor|
+    edges resolves to a subset of {target}, and the resolution path is
+    one of them, its edges spelling the descriptor.
     """
 
     resolved: frozenset[RelationId]
@@ -161,8 +161,10 @@ def iter_simple_path_labels(
 def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
     """Run all soundness checks for one query instance.
 
-    Total on arbitrary input: a degenerate record (e.g. an empty
-    descriptor) yields an all-failing report rather than an error.
+    One walk decides ``path_consistent``; where a node pair carries two
+    labels, either edge may spell the descriptor. Total on arbitrary
+    input: a degenerate record (e.g. an empty descriptor) yields an
+    all-failing report rather than an error.
     """
     if not inst.descriptor:
         return ValidationReport(
@@ -177,30 +179,19 @@ def validate_instance(rules: RuleSet, inst: "Instance") -> ValidationReport:
     ambiguous = len(resolved) > 1
 
     succ, pred = instance_adjacency(inst.edges)
-    path_labels = []
-    matches = len(inst.resolution_path) == len(inst.descriptor) + 1
-    if matches:
-        for a, b in zip(inst.resolution_path, inst.resolution_path[1:]):
-            # a repeated (a, b) pair counts with its last label
-            found = [r for v, r in succ.get(a, ()) if v == b]
-            if not found:
-                matches = False
-                break
-            path_labels.append(found[-1])
-        matches = matches and tuple(path_labels) == tuple(inst.descriptor)
-
     to_sink = _distances_to(pred, inst.sink)
     n = len(inst.descriptor)
     shortcut_free = to_sink.get(inst.source) == n
 
-    path_consistent = matches
-    if path_consistent:
-        allowed = {inst.target}
-        for labels, _ in iter_simple_path_labels(succ, inst.source, inst.sink, n, to_sink=to_sink):
-            # shorter paths exist only past a shortcut, already a failed check
-            if len(labels) == n and not resolve_descriptor(rules, labels) <= allowed:
+    allowed = {inst.target}
+    path_consistent = False  # until the walk meets the resolution path
+    for labels, nodes in iter_simple_path_labels(succ, inst.source, inst.sink, n, to_sink=to_sink):
+        if len(labels) == n:  # shorter paths pass a shortcut, already a failed check
+            if not resolve_descriptor(rules, labels) <= allowed:
                 path_consistent = False
                 break
+            if labels == inst.descriptor and (*nodes, inst.sink) == inst.resolution_path:
+                path_consistent = True
 
     return ValidationReport(
         resolved=resolved,

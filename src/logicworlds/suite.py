@@ -171,7 +171,7 @@ def read_plan(path: str | Path) -> Suite:
     SuiteFormatError naming the file (and the first key that differs).
     """
     file = Path(path) / "manifest.json"
-    manifest = read_manifest(file.parent)
+    manifest = read_manifest(path)
     suite = _parse(file, lambda doc: plan_suite(config_from_dict(doc["config"])), manifest)
     _require_derived(file, manifest, manifest_doc(suite))
     return suite

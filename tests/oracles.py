@@ -12,7 +12,8 @@ way so a test can pin the package's version equal to it:
 - :func:`reference_collect_descriptors` is the recursive per-source walk
   ``sampler.collect_descriptors`` replaced with that iterative one;
 - :func:`reference_validate_instance` certifies an instance by walking
-  every simple path of resolution length with that recursive walk,
+  every simple path of resolution length with that recursive walk, and
+  checks its resolution path against the edge set with no walk at all,
   against ``resolver.validate_instance``;
 - :func:`instance_to_dict` is the instance line's JSON document, whose
   ``json.dumps`` text ``dataset_io.instance_to_json`` must equal.
@@ -210,7 +211,14 @@ def reference_collect_descriptors(
 
 def reference_validate_instance(rules: RuleSet, inst: Instance) -> ValidationReport:
     """Every soundness check, with the same-length paths found by
-    :func:`reference_simple_path_labels`, kept to ``|descriptor|`` edges."""
+    :func:`reference_simple_path_labels`, kept to ``|descriptor|`` edges.
+
+    The resolution path is checked on its own, with no walk: it has
+    |descriptor| + 1 nodes, starts at the query's source, ends at its
+    sink, repeats no node before the sink nor after the source (so only
+    a sink that is the source may recur), and each of its steps is an
+    edge of the instance labelled with the descriptor's relation there.
+    """
     if not inst.descriptor:
         return ValidationReport(
             resolved=frozenset(),
@@ -223,35 +231,32 @@ def reference_validate_instance(rules: RuleSet, inst: Instance) -> ValidationRep
     target_hit = inst.target in resolved
     ambiguous = len(resolved) > 1
 
-    edge_labels = {(u, v): r for u, r, v in inst.edges}
-    path_labels = []
-    matches = len(inst.resolution_path) == len(inst.descriptor) + 1
-    if matches:
-        for a, b in zip(inst.resolution_path, inst.resolution_path[1:]):
-            r = edge_labels.get((a, b))
-            if r is None:
-                matches = False
-                break
-            path_labels.append(r)
-        matches = matches and tuple(path_labels) == tuple(inst.descriptor)
+    n = len(inst.descriptor)
+    path = inst.resolution_path
+    edge_set = set(inst.edges)
+    spelled = (
+        len(path) == n + 1
+        and path[0] == inst.source
+        and path[-1] == inst.sink
+        and len(set(path[:-1])) == len(set(path[1:])) == n
+        and all((a, r, b) in edge_set for a, r, b in zip(path, inst.descriptor, path[1:]))
+    )
 
     _, rev = instance_adjacency(inst.edges)
-    n = len(inst.descriptor)
     shortcut_free = shortest_distance(rev, inst.source, inst.sink) == n
 
-    path_consistent = matches
-    if path_consistent:
-        for labels, _ in reference_simple_path_labels(inst.edges, inst.source, inst.sink, n):
-            if len(labels) == n and not resolve_descriptor(rules, labels) <= {inst.target}:
-                path_consistent = False
-                break
+    consistent = all(
+        resolve_descriptor(rules, labels) <= {inst.target}
+        for labels, _ in reference_simple_path_labels(inst.edges, inst.source, inst.sink, n)
+        if len(labels) == n
+    )
 
     return ValidationReport(
         resolved=resolved,
         target_hit=target_hit,
         ambiguous=ambiguous,
         shortcut_free=shortcut_free,
-        path_consistent=path_consistent,
+        path_consistent=spelled and consistent,
     )
 
 

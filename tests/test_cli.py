@@ -251,6 +251,21 @@ class TestValidate:
         assert report["instances"] - report["valid"] == 1
         assert report["worlds"]["rule_0"]["valid"] == report["worlds"]["rule_0"]["instances"] - 1
 
+    def test_resolution_path_off_the_query_fails(self, suite_dir, tmp_path, capsys):
+        # a fresh node x and an edge (x, d0, p1): the path x, p1, ... spells
+        # the descriptor over the instance's edges, but not from query[0]
+        def reanchor(record):
+            path, descriptor = record["resolution_path"], record["descriptor"]
+            fresh = 1 + max(max(u, v) for u, _, v in record["edges"])
+            record["edges"].append([fresh, descriptor[0], path[1]])
+            path[0] = fresh
+
+        broken, _ = tampered_first_line(suite_dir, tmp_path, reanchor)
+        recompute_stats(broken / "rule_0")
+        assert main(["validate", str(broken), "--world-id", "0", "--workers", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] == report["instances"] - 1
+
     def test_unreadable_suite(self, tmp_path):
         assert main(["validate", str(tmp_path / "nowhere")]) == 2
 
@@ -928,6 +943,74 @@ class TestBlankLines:
         refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
 
+DEEP_JSON = "[" * 1000 + "]" * 1000  # nested past the parser's recursion limit
+UNDECODABLE_INPUTS = pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{}", ":1: not UTF-8"), (DEEP_JSON.encode(), ": invalid JSON (nested too deep)")],
+    ids=["utf16_mark", "deep"],
+)
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8, or JSON nested too deep to parse, in a
+    suite file is a format error naming the file (and the line, where
+    there is one) in every reader, and in a command's input file a config
+    error naming it: exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [("manifest.json", 1), ("rule_0/stats.json", 1), ("rule_0/train.jsonl", 3)],
+    )
+    def test_every_reader_refuses_a_byte_that_is_not_utf8(
+        self, suite_dir, tmp_path, capsys, name, line
+    ):
+        broken = tmp_path / "not_utf8"
+        shutil.copytree(suite_dir, broken)
+        file = broken / name
+        lines = file.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+        file.write_bytes(b"\n".join(lines))
+        message = f"{file}:{line}: not UTF-8"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
+
+    @pytest.mark.parametrize(
+        "name, line, message",
+        [
+            ("manifest.json", 1, ": invalid JSON (nested too deep)"),
+            ("rule_0/stats.json", 1, ": invalid JSON (nested too deep)"),
+            ("rule_0/train.jsonl", 2, ":2: bad instance record"),
+        ],
+    )
+    def test_every_reader_refuses_json_nested_too_deep(
+        self, suite_dir, tmp_path, capsys, name, line, message
+    ):
+        broken = tmp_path / "deep"
+        shutil.copytree(suite_dir, broken)
+        file = broken / name
+        lines = file.read_text().splitlines()
+        lines[line - 1] = DEEP_JSON
+        file.write_text("\n".join(lines) + "\n")
+        refused_by_every_reader(broken, f"{file}{message}", capsys, "--world-id", "0")
+
+    @UNDECODABLE_INPUTS
+    def test_generate_refuses_such_a_config_file(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{config}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @UNDECODABLE_INPUTS
+    def test_stats_refuses_such_an_accuracy_file(
+        self, suite_dir, tmp_path, capsys, content, message
+    ):
+        acc = tmp_path / "acc.json"
+        acc.write_bytes(content)
+        assert main(["stats", str(suite_dir), "--accuracy", str(acc)]) == 2
+        assert f"{acc}{message}" in capsys.readouterr().err
+
+
 class TestSolve:
     def test_perfect_accuracy_rows(self, suite_dir, capsys):
         rc = main(["solve", str(suite_dir)])
@@ -1044,6 +1127,12 @@ class TestStats:
         err = capsys.readouterr().err
         assert str(acc) in err and "suite file" not in err
 
+    def test_world_named_twice_is_config_error_naming_both_keys(self, suite_dir, tmp_path, capsys):
+        acc = tmp_path / "acc.json"
+        acc.write_text(json.dumps({"0": 0.9, "rule_0": 0.1}))
+        assert main(["stats", str(suite_dir), "--accuracy", str(acc)]) == 2
+        assert f"{acc}: '0' and 'rule_0' name the same world" in capsys.readouterr().err
+
     # the whole file is checked, not only the worlds a run prints
     @pytest.mark.parametrize(
         "scores, argv",
@@ -1088,7 +1177,7 @@ class TestOneWorldBuild:
 
     def test_read_suite_rejects_it_as_validate_does(self, one_world_dir, capsys):
         assert main(["validate", str(one_world_dir)]) == 2
-        message = f"{one_world_dir / 'rule_0' / 'rules.json'}: missing suite file"
+        message = f"{one_world_dir / 'rule_0' / 'rules.json'}: file not found"
         assert message in capsys.readouterr().err
         with pytest.raises(SuiteFormatError, match=re.escape(message)):
             read_suite(one_world_dir)

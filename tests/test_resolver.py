@@ -200,6 +200,28 @@ class TestValidateInstance:
         assert not report.path_consistent
         assert not report.is_valid
 
+    # the path spells the descriptor over the instance's edges, but from a
+    # node that is not the query's source, or to one that is not its sink
+    @pytest.mark.parametrize(
+        "edge, path",
+        [((9, 0, 1), (9, 1, 2)), ((1, 2, 7), (0, 1, 7))],
+        ids=["off_the_source", "off_the_sink"],
+    )
+    def test_resolution_path_off_the_query_fails(self, edge, path):
+        inst = chain_instance()
+        inst = dataclasses.replace(inst, edges=(*inst.edges, edge), resolution_path=path)
+        report = validate_instance(CHAIN_RULES, inst)
+        assert report.shortcut_free and report.target_hit
+        assert not report.path_consistent
+        assert not report.is_valid
+
+    def test_first_label_of_a_repeated_pair_may_spell_the_descriptor(self):
+        # (0, 1) carries 0, which spells the descriptor, then 1; the path
+        # through 1 resolves to nothing, within {target}
+        inst = dataclasses.replace(chain_instance(), edges=((0, 0, 1), (0, 1, 1), (1, 2, 2)))
+        assert resolve_descriptor(CHAIN_RULES, (1, 2)) == frozenset()
+        assert validate_instance(CHAIN_RULES, inst).is_valid
+
     def test_equal_length_path_resolving_elsewhere(self):
         rules = make_rules([((0, 2), 3), ((1, 1), 4)], size=5)
         inst = Instance(
@@ -304,7 +326,8 @@ class TestValidateInstanceReference:
     def test_cases_reach_every_branch(self):
         # shortcut-free instances, shortcuts and instances without a path
         # of |descriptor| edges each decide some of a fixed sample of the
-        # strategy's cases
+        # strategy's cases, and some resolution paths spell the descriptor
+        # over the instance's edges but start or end off the query
         seen = set()
 
         @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -331,11 +354,17 @@ class TestValidateInstanceReference:
                 seen.add("self-loop")
             if len({(u, v) for u, _, v in inst.edges}) < len(set(inst.edges)):
                 seen.add("pair with two labels")
+            path = inst.resolution_path
+            steps = zip(path, inst.descriptor, path[1:])
+            if len(path) == n + 1 and all(edge in inst.edges for edge in steps):
+                if (path[0], path[-1]) != (inst.source, inst.sink):
+                    seen.add("path spelled off the query")
 
         classify()
         assert seen == {
             "unreachable", "longer", "shortcut", "shortcut-free consistent",
             "shortcut-free inconsistent", "source is sink", "self-loop", "pair with two labels",
+            "path spelled off the query",
         }
 
 
