@@ -19,7 +19,7 @@ from logicworlds import (
     symbolic_baseline_solve,
     validate_instance,
 )
-from logicworlds.suite import generate_suite_to_disk, plan_suite
+from logicworlds.suite import generate_suite_to_disk, plan_suite, select_worlds
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp()) / "suite"
 
@@ -45,8 +45,8 @@ print(f"protocol orderings: {list(manifest['protocols'])}")
 # unambiguously, with no shortcut. The baseline solver then recovers
 # every target by enumerating and resolving paths, so accuracy is 1.0.
 suite = read_suite(out)
-for world_id, ds in sorted(suite.datasets.items()):
-    rules = ds.rules
+for world_id, rules, _ in select_worlds(suite, None):
+    ds = suite.datasets[world_id]
     reports = [validate_instance(rules, inst) for inst in ds.all_instances()]
     accuracy = symbolic_baseline_solve(rules, ds)
     print(f"rule_{world_id}: {sum(r.is_valid for r in reports)}/{len(reports)} valid, "

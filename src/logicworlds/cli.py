@@ -25,9 +25,8 @@ from pathlib import Path
 from .config import SuiteConfig, load_config, load_json
 from .dataset_io import compute_stats, difficulty_bucket, read_world, world_dir_name
 from .errors import ConfigError, DegenerateWorldError, GenerationError, SuiteFormatError
-from .partition import WorldSpec
 from .resolver import symbolic_baseline_solve, validate_instance
-from .rules import RuleSet, select_rules
+from .rules import RuleSet
 from .suite import Suite, generate_suite_to_disk, map_worlds, plan_suite, read_plan, select_worlds
 from .worldgraph import GenConfig
 
@@ -125,16 +124,14 @@ def _only(args) -> list[int] | None:
     return None if args.world_id is None else [args.world_id]
 
 
-def _planned_worlds(args) -> tuple[Suite, list[WorldSpec], list[tuple]]:
-    """The plan and the worlds the command covers, each with its task for
+def _planned_worlds(args) -> tuple[Suite, list[tuple]]:
+    """The plan and, for each world the command covers, its task for
     ``validate_world``, ``solve_world`` or ``stats_world``: suite dir, world
     id, split, rules and gen of the plan, all that ``read_world`` needs."""
     suite = read_plan(args.suite)
-    worlds = select_worlds(suite, _only(args))
-    return suite, worlds, [
-        (args.suite, w.world_id, suite.world_splits[w.world_id],
-         select_rules(suite.rules, w.rule_indices), suite.config.gen)
-        for w in worlds
+    return suite, [
+        (args.suite, wid, split, rules, suite.config.gen)
+        for wid, rules, split in select_worlds(suite, _only(args))
     ]
 
 
@@ -153,7 +150,7 @@ def validate_world(
     _, ds = read_world(path, wid, rules, gen, split)
     counts = dict.fromkeys(VALIDATE_COUNTS, 0)
     for inst in ds.all_instances():
-        report = validate_instance(ds.rules, inst)
+        report = validate_instance(rules, inst)
         counts["instances"] += 1
         counts["valid"] += report.is_valid
         counts["ambiguous"] += report.ambiguous
@@ -166,7 +163,7 @@ def solve_world(path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig
     ``split``, ``rules`` and ``gen`` as for ``validate_world``). Paths are
     searched up to ``gen.max_walk_len``, the manifest's bound."""
     _, ds = read_world(path, wid, rules, gen, split)
-    return symbolic_baseline_solve(ds.rules, ds)
+    return symbolic_baseline_solve(rules, ds)
 
 
 def stats_world(path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig) -> dict:
@@ -178,12 +175,12 @@ def stats_world(path: Path, wid: int, split: str, rules: RuleSet, gen: GenConfig
 
 
 def cmd_validate(args) -> int:
-    _, worlds, tasks = _planned_worlds(args)
+    _, tasks = _planned_worlds(args)
     results = map_worlds(validate_world, tasks, args.workers)
     totals = dict.fromkeys(VALIDATE_COUNTS, 0)
     per_world = {}
-    for world, counts in zip(worlds, results):
-        per_world[world_dir_name(world.world_id)] = counts
+    for (_, wid, *_), counts in zip(tasks, results):
+        per_world[world_dir_name(wid)] = counts
         for key in totals:
             totals[key] += counts[key]
     print(json.dumps({**totals, "worlds": per_world}, indent=2, sort_keys=True))
@@ -191,12 +188,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _, worlds, tasks = _planned_worlds(args)
+    _, tasks = _planned_worlds(args)
     results = map_worlds(solve_world, tasks, args.workers)
     accuracies = []
-    for world, accuracy in zip(worlds, results):
+    for (_, wid, *_), accuracy in zip(tasks, results):
         accuracies.append(accuracy)
-        print(f"{world_dir_name(world.world_id)} {accuracy:.3f}")
+        print(f"{world_dir_name(wid)} {accuracy:.3f}")
     print(f"aggregate {sum(accuracies) / len(accuracies):.3f}")
     return EXIT_OK
 
@@ -205,21 +202,21 @@ STATS_KEYS = ("num_classes", "num_descriptors", "avg_resolution_length", "avg_no
 
 
 def cmd_stats(args) -> int:
-    suite, worlds, tasks = _planned_worlds(args)
+    suite, tasks = _planned_worlds(args)
     scores = _load_accuracy(args.accuracy, suite.world_splits) if args.accuracy else None
     header = ["World", "Split", "NC", "ND", "ARL", "AN", "AE"]
     if scores is not None:
         header.append("D")
     rows, columns = [], [[] for _ in STATS_KEYS]
-    for world, doc in zip(worlds, map_worlds(stats_world, tasks, _usable_cpus())):
+    for doc in map_worlds(stats_world, tasks, _usable_cpus()):
         values = [doc[key] for key in STATS_KEYS]
         for column, value in zip(columns, values):
             column.append(value)
         nc, nd, arl, an, ae = values
-        row = [world_dir_name(world.world_id), doc["split"], str(nc), str(nd),
+        row = [world_dir_name(doc["world_id"]), doc["split"], str(nc), str(nd),
                f"{arl:.2f}", f"{an:.3f}", f"{ae:.3f}"]
         if scores is not None:
-            acc = scores.get(world.world_id)
+            acc = scores.get(doc["world_id"])
             row.append(difficulty_bucket(acc).label if acc is not None else "-")
         rows.append(row)
     agg_row = ["AGG", "", *(f"{sum(c) / len(c):.2f}" for c in columns)]

@@ -104,14 +104,27 @@ def read_text(path: str | Path, error: type[Exception]) -> str:
 
 
 def load_json(path: str | Path, error: type[Exception]):
-    """The JSON document in ``path`` (:func:`read_text`); invalid JSON, or
-    JSON nested too deep to parse, is ``error`` naming the file."""
+    """The JSON document in ``path`` (:func:`read_text`); invalid JSON, JSON
+    nested too deep to parse, an object that names a key twice or an
+    integer too long for ``int`` is ``error`` naming the file (and the key)."""
+    text = read_text(path, error)
     try:
-        return json.loads(read_text(path, error))
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
+    except ValueError as exc:  # from _unique_keys, or int()'s digit limit
+        raise error(f"{path}: invalid JSON ({exc})")
     except RecursionError:
         raise error(f"{path}: invalid JSON (nested too deep)")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs``; a key named twice is a ValueError naming it."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} named twice")
+    return doc
 
 
 def load_config(path: str | Path) -> SuiteConfig:

@@ -230,16 +230,17 @@ def _share(item: tuple, shared: dict) -> tuple:
 
 
 def write_world(
-    path: Path, world_id: int, graph: WorldGraph, ds: WorldDataset, world_split: str
+    path: Path, world_id: int, rules: RuleSet, graph: WorldGraph, ds: WorldDataset, world_split: str
 ) -> None:
-    """Write one world directory atomically (temp dir + rename); ``world_split``
-    is the world's manifest split, recorded in its ``stats.json``."""
+    """Write one world directory atomically (temp dir + rename); ``rules`` is
+    the world's slice of the master rules, written as its ``rules.json``, and
+    ``world_split`` its manifest split, recorded in its ``stats.json``."""
     final = path / world_dir_name(world_id)
     tmp = path / f".tmp_{world_dir_name(world_id)}"
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    _dump_json(tmp / "rules.json", ruleset_to_dict(ds.rules))
+    _dump_json(tmp / "rules.json", ruleset_to_dict(rules))
     _dump_json(tmp / "world_graph.json", {"edges": graph.edge_list(), "nodes": graph.node_count})
     for split in SPLIT_NAMES:
         lines = [instance_to_json(inst, world_id) + "\n" for inst in ds.instances[split]]
@@ -256,12 +257,11 @@ def read_world(
 ) -> tuple[WorldGraph, WorldDataset]:
     """Inverse of :func:`write_world`; returns (graph, dataset).
 
-    The world is read against its plan: ``rules`` is its slice of the
-    master rules, ``select_rules(plan.rules, world.rule_indices)``,
-    ``gen`` the manifest config's and ``split`` the world's split in the
-    manifest. Everything the plan fixes is required, and anything else is
-    a SuiteFormatError naming the file (and the line, or the first key
-    that differs):
+    The world is read against its plan: ``rules`` and ``split`` are the
+    world's, as ``suite.select_worlds`` gives them, and ``gen`` the
+    manifest config's. Everything the plan fixes is required, and anything
+    else is a SuiteFormatError naming the file (and the line, or the first
+    key that differs):
     - ``rules.json`` must be ``ruleset_to_dict(rules)``;
     - ``world_graph.json`` must pass ``worldgraph_from_dict``: integers,
       node ids below ``nodes``, no pair twice; and each relation must be
@@ -274,11 +274,10 @@ def read_world(
     - each split file must hold its ``gen.graphs_per_split`` instances;
     - ``stats.json`` must be ``compute_stats(dataset, split)`` of what was
       read, ``sampling_info`` taken from the file.
-    The dataset carries ``rules``. Equal tuples of the instances are one
-    object of ``shared``, the share table, which the caller may pass to
-    several calls (a new one if None). A tuple's items are type-checked
-    once, when it enters the table, so the outcome does not depend on
-    which tuples it holds.
+    Equal tuples of the instances are one object of ``shared``, the share
+    table, which the caller may pass to several calls (a new one if None).
+    A tuple's items are type-checked once, when it enters the table, so the
+    outcome does not depend on which tuples it holds.
     """
     world_path = path / world_dir_name(world_id)
     rules_file = world_path / "rules.json"
@@ -339,7 +338,6 @@ def read_world(
         instances=instances,
         max_walk_len=max_len,
         sampling_info=stats_doc.get("sampling_info") if isinstance(stats_doc, dict) else None,
-        rules=rules,
     )
     _require_derived(stats_file, stats_doc, compute_stats(ds, split))
     return graph, ds

@@ -95,7 +95,6 @@ class WorldDataset:
     instances: dict[str, list[Instance]]
     max_walk_len: int
     sampling_info: dict = field(default_factory=dict)
-    rules: RuleSet | None = None  # the world's rule subset
 
     def all_instances(self) -> list[Instance]:
         return [inst for split in SPLIT_NAMES for inst in self.instances[split]]
@@ -394,5 +393,4 @@ def build_dataset(
         instances=instances,
         max_walk_len=cfg.max_walk_len,
         sampling_info=info,
-        rules=rules,
     )

@@ -109,29 +109,32 @@ def grow_and_sample(
     return graph, dataset
 
 
-def select_worlds(suite: Suite, world_ids: list[int] | None) -> list[WorldSpec]:
-    """The plan's worlds, or those named by ``world_ids``, in plan order.
+def select_worlds(suite: Suite, world_ids: list[int] | None) -> list[tuple[int, RuleSet, str]]:
+    """``(world_id, rules, split)`` of the plan's worlds, or of those named by
+    ``world_ids``, in plan order: ``rules`` is the world's slice of the master
+    rules, ``select_rules(suite.rules, world.rule_indices)``.
 
-    The one rule for which worlds a command, the writer or a reader
-    covers. A world id the plan does not have is a ConfigError.
+    The one place that takes a world's rules and split from a plan, and so
+    the one rule for which worlds a command, the writer or a reader covers.
+    A world id the plan does not have is a ConfigError.
     """
-    if world_ids is None:
-        return suite.worlds
-    unknown = set(world_ids) - {w.world_id for w in suite.worlds}
-    if unknown:
-        n = len(suite.worlds)
-        raise ConfigError(f"world ids {sorted(unknown)} not in the plan's {n} worlds")
-    return [w for w in suite.worlds if w.world_id in world_ids]
+    if world_ids is not None:
+        unknown = set(world_ids) - {w.world_id for w in suite.worlds}
+        if unknown:
+            n = len(suite.worlds)
+            raise ConfigError(f"world ids {sorted(unknown)} not in the plan's {n} worlds")
+    return [
+        (w.world_id, select_rules(suite.rules, w.rule_indices), suite.world_splits[w.world_id])
+        for w in suite.worlds
+        if world_ids is None or w.world_id in world_ids
+    ]
 
 
 def generate_suite(config: SuiteConfig, world_ids: list[int] | None = None) -> Suite:
     """Generate the whole suite in memory (optionally a subset of worlds)."""
     suite = plan_suite(config)
-    for world in select_worlds(suite, world_ids):
-        world_rules = select_rules(suite.rules, world.rule_indices)
-        graph, dataset = grow_and_sample(config, world_rules, world.world_id)
-        suite.graphs[world.world_id] = graph
-        suite.datasets[world.world_id] = dataset
+    for wid, rules, _ in select_worlds(suite, world_ids):
+        suite.graphs[wid], suite.datasets[wid] = grow_and_sample(config, rules, wid)
     return suite
 
 
@@ -189,12 +192,8 @@ def read_suite(path: str | Path) -> Suite:
     root = Path(path)
     suite = read_plan(root)
     gen, shared = suite.config.gen, {}
-    for world in select_worlds(suite, None):
-        wid = world.world_id
-        rules = select_rules(suite.rules, world.rule_indices)
-        suite.graphs[wid], suite.datasets[wid] = read_world(
-            root, wid, rules, gen, suite.world_splits[wid], shared
-        )
+    for wid, rules, split in select_worlds(suite, None):
+        suite.graphs[wid], suite.datasets[wid] = read_world(root, wid, rules, gen, split, shared)
     return suite
 
 
@@ -233,10 +232,10 @@ def _map_in_pool(fn: Callable[..., T], tasks: list[tuple], workers: int) -> Iter
 
 
 def _build_and_write(
-    config: SuiteConfig, world_rules: RuleSet, world_id: int, split: str, out: Path
+    config: SuiteConfig, world_id: int, world_rules: RuleSet, split: str, out: Path
 ) -> dict:
     graph, dataset = grow_and_sample(config, world_rules, world_id)
-    write_world(out, world_id, graph, dataset, split)
+    write_world(out, world_id, world_rules, graph, dataset, split)
     return dataset.sampling_info
 
 
@@ -255,21 +254,11 @@ def generate_suite_to_disk(
     independent of ``workers``. A world id the plan does not have, or
     ``workers`` < 1, is a ConfigError, raised before anything is written.
     """
-    selected = select_worlds(suite, world_ids)
     out = Path(out)
     # each task carries its world's rules, not the whole plan
-    tasks = [
-        (
-            suite.config,
-            select_rules(suite.rules, world.rule_indices),
-            world.world_id,
-            suite.world_splits[world.world_id],
-            out,
-        )
-        for world in selected
-    ]
+    tasks = [(suite.config, *world, out) for world in select_worlds(suite, world_ids)]
     results = map_worlds(_build_and_write, tasks, workers)
     out.mkdir(parents=True, exist_ok=True)
-    sampling_info = {world.world_id: info for world, info in zip(selected, results)}
+    sampling_info = {wid: info for (_, wid, *_), info in zip(tasks, results)}
     write_manifest(out, manifest_doc(suite))
     return sampling_info

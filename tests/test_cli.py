@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shutil
+import sys
 import time
 
 import pytest
@@ -944,18 +945,31 @@ class TestBlankLines:
 
 
 DEEP_JSON = "[" * 1000 + "]" * 1000  # nested past the parser's recursion limit
+LONG_INT = "1" * 5000  # more digits than int() parses by default
+INT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
+)
 UNDECODABLE_INPUTS = pytest.mark.parametrize(
     "content, message",
-    [(b"\xff\xfe{}", ":1: not UTF-8"), (DEEP_JSON.encode(), ": invalid JSON (nested too deep)")],
-    ids=["utf16_mark", "deep"],
+    [
+        (b"\xff\xfe{}", ":1: not UTF-8"),
+        (DEEP_JSON.encode(), ": invalid JSON (nested too deep)"),
+        (b'{"rule_0": 0.9, "rule_0": 0.1}', ": invalid JSON (key 'rule_0' named twice)"),
+        pytest.param(
+            f'{{"seed": {LONG_INT}}}'.encode(), ": invalid JSON (Exceeds the limit", marks=INT_LIMIT
+        ),
+    ],
+    ids=["utf16_mark", "deep", "repeated_key", "long_int"],
 )
 
 
 class TestUndecodableInput:
-    """A byte that is not UTF-8, or JSON nested too deep to parse, in a
-    suite file is a format error naming the file (and the line, where
-    there is one) in every reader, and in a command's input file a config
-    error naming it: exit 2, never a traceback."""
+    """A byte that is not UTF-8, JSON nested too deep to parse, an object
+    that names a key twice (the parser alone would keep the last value) or
+    an integer too long for ``int``, in a suite file is a format error
+    naming the file (and the line, or the key, where there is one) in every
+    reader, and in a command's input file a config error naming it: exit 2,
+    never a traceback."""
 
     @pytest.mark.parametrize(
         "name, line",
@@ -991,6 +1005,27 @@ class TestUndecodableInput:
         lines[line - 1] = DEEP_JSON
         file.write_text("\n".join(lines) + "\n")
         refused_by_every_reader(broken, f"{file}{message}", capsys, "--world-id", "0")
+
+    @pytest.mark.parametrize(
+        "name, before, insert, message",
+        [
+            ("manifest.json", '"config":{', '"stride":99,', "key 'stride' named twice"),
+            ("rule_0/stats.json", '"instances":{', '"test":99,', "key 'test' named twice"),
+            ("rule_0/rules.json", "{", '"K":99,', "key 'K' named twice"),
+            ("rule_0/world_graph.json", "{", '"nodes":0,', "key 'nodes' named twice"),
+            pytest.param("manifest.json", '"seed":', LONG_INT, "Exceeds the limit", marks=INT_LIMIT),
+        ],
+        ids=["manifest", "stats", "rules", "world_graph", "manifest_long_int"],
+    )
+    def test_every_reader_refuses_a_repeated_key_or_too_long_an_integer(
+        self, suite_dir, tmp_path, capsys, name, before, insert, message
+    ):
+        broken = tmp_path / "inserted"
+        shutil.copytree(suite_dir, broken)
+        file = broken / name
+        file.write_text(file.read_text().replace(before, before + insert, 1))
+        message = f"{file}: invalid JSON ({message}"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
     @UNDECODABLE_INPUTS
     def test_generate_refuses_such_a_config_file(self, tmp_path, capsys, content, message):

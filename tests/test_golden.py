@@ -21,7 +21,7 @@ import pytest
 from logicworlds.cli import main
 from logicworlds.config import SuiteConfig
 from logicworlds.dataset_io import read_world
-from logicworlds.rules import generate_alphabet, generate_rules, ruleset_to_dict, select_rules
+from logicworlds.rules import generate_alphabet, generate_rules, ruleset_to_dict
 from logicworlds.seeds import TAG_ALPHABET, TAG_RULES, rng_for
 from logicworlds.suite import generate_suite_to_disk, plan_suite, read_plan, select_worlds
 from logicworlds.worldgraph import GenConfig
@@ -104,11 +104,9 @@ def test_indented_suite_reads_as_the_compact_one(tmp_path):
         path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
     plan = read_plan(compact)
     assert read_plan(indented) == plan
-    for world in select_worlds(plan, GOLDEN_WORLDS):
-        wid = world.world_id
+    for wid, rules, split in select_worlds(plan, GOLDEN_WORLDS):
         assert main(["validate", str(indented), "--world-id", str(wid), "--workers", "1"]) == 0
-        rules = select_rules(plan.rules, world.rule_indices)
-        args = (wid, rules, plan.config.gen, plan.world_splits[wid])
+        args = (wid, rules, plan.config.gen, split)
         (graph, ds), (expected_graph, expected_ds) = (
             read_world(suite, *args) for suite in (indented, compact)
         )

@@ -134,7 +134,7 @@ def test_every_instance_certifies_on_its_first_draw(planned):
     except DegenerateWorldError:
         return
     for inst in dataset.all_instances():
-        assert validate_instance(dataset.rules, inst).is_valid
+        assert validate_instance(world_rules, inst).is_valid
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ import logicworlds
 from logicworlds import GenConfig, SuiteConfig, generate_suite, symbolic_baseline_solve
 from logicworlds.dataset_io import write_manifest
 from logicworlds.errors import ConfigError, SuiteFormatError
+from logicworlds.rules import ruleset_to_dict, select_rules
 from logicworlds.suite import (
     Suite,
     assign_world_splits,
@@ -19,6 +20,7 @@ from logicworlds.suite import (
     map_worlds,
     plan_suite,
     read_plan,
+    select_worlds,
 )
 
 from conftest import tiny_suite_config
@@ -100,6 +102,21 @@ class TestWorldSplits:
             assign_world_splits([0, 1], valid_worlds=1, test_worlds=1)
 
 
+class TestSelectWorlds:
+    @pytest.mark.parametrize(
+        ("world_ids", "expected"), [(None, [0, 1, 2, 3, 4]), ([4, 2, 0], [0, 2, 4])]
+    )
+    def test_plan_order_triples_of_each_worlds_rules_and_split(self, world_ids, expected):
+        plan = plan_suite(tiny_suite_config())
+        assert [w.world_id for w in plan.worlds] == [0, 1, 2, 3, 4]
+        triples = select_worlds(plan, world_ids)
+        assert [wid for wid, _, _ in triples] == expected
+        for (wid, rules, split), world in zip(triples, (plan.worlds[i] for i in expected)):
+            expected_rules = select_rules(plan.rules, world.rule_indices)
+            assert ruleset_to_dict(rules) == ruleset_to_dict(expected_rules)
+            assert split == plan.world_splits[wid]
+
+
 class TestGenerateSuite:
     def test_world_filter(self):
         config = tiny_suite_config()
@@ -124,9 +141,10 @@ class TestGenerateSuite:
             gen=GenConfig(node_pool=200, graphs_per_split=(5, 2, 2), max_walk_len=2),
         )
         suite = generate_suite(config)
-        for ds in suite.datasets.values():
+        for wid, rules, _ in select_worlds(suite, None):
+            ds = suite.datasets[wid]
             assert {len(i.descriptor) for i in ds.all_instances()} == {2}
-            assert symbolic_baseline_solve(ds.rules, ds) == 1.0
+            assert symbolic_baseline_solve(rules, ds) == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -42,3 +42,7 @@ def test_traced_run_succeeds_and_counts_the_golden_suite(tmp_path):
     assert metrics["generate.resolver.simple_paths"] > 0
     assert metrics["suite.plan_suite_s"] > 0
     assert metrics["dataset_io.read_manifest_s"] > 0
+    # the write_world hook reads the suite dir and world id from its first
+    # two arguments: if they moved, its count would not be the suite's bytes
+    files = [p for p in (tmp_path / "suite").rglob("*") if p.is_file()]
+    assert metrics["dataset_io.bytes_written"] == sum(p.stat().st_size for p in files)
