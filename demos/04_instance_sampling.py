@@ -20,6 +20,7 @@ from logicworlds import (
     sample_instance,
     validate_instance,
 )
+from logicworlds.sampler import incident_adjacency
 
 rng = random.Random(11)
 alphabet = generate_alphabet(10, rng)
@@ -41,7 +42,7 @@ print(f"descriptor resolves to {set(resolve_descriptor(rules, pair.descriptor))}
 # One instance: the resolution path embedded in a noisy neighborhood.
 # The direct query edge is removed and no remaining path may be shorter
 # than the resolution path.
-inst = sample_instance(graph, pair, cfg, random.Random(0))
+inst = sample_instance(graph, pair, cfg, random.Random(0), incident_adjacency(graph))
 print(f"\ninstance: {inst.node_count} nodes, {len(inst.edges)} edges")
 print(f"query: ({inst.source}) -?-> ({inst.sink}), target relation {inst.target}")
 print(f"resolution path: {list(inst.resolution_path)}")

@@ -36,7 +36,7 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import load_json, read_text
+from .config import _unique_keys, load_json, read_text
 from .errors import ConfigError, SuiteFormatError
 from .rules import RelationId, RuleSet, ruleset_to_dict
 from .sampler import SPLIT_NAMES, Instance, WorldDataset
@@ -46,7 +46,9 @@ EASY_THRESHOLD = 0.70
 MEDIUM_THRESHOLD = 0.54
 
 FLOAT_DIGITS = 6  # fixed serialization precision, round-half-even
-_decode_instance_line = json.JSONDecoder(parse_float=str).decode  # 1.0 stays text, never 1
+# 1.0 stays text, never 1; a key named twice is a ValueError, not the last value kept
+_decode_instance_line = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=str).decode
+_SAMPLING_KEYS = ("descriptor_pairs", "distinct_descriptors", "truncated_edges")
 
 
 class Difficulty(enum.IntEnum):
@@ -176,6 +178,36 @@ def _same_json(a, b) -> bool:
     return repr(a) == repr(b) or json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _check_sampling_info(path: Path, info, num_descriptors: int, graph_edges: int) -> None:
+    """Refuse a ``sampling_info`` other than the writer's three counts:
+    exactly ``descriptor_pairs``, ``distinct_descriptors`` and
+    ``truncated_edges``, each a non-negative integer, with
+    ``descriptor_pairs >= distinct_descriptors >= num_descriptors`` and
+    ``truncated_edges <= graph_edges``; a SuiteFormatError naming ``path``
+    and the key."""
+    if not isinstance(info, dict):
+        raise SuiteFormatError(f"{path}: sampling_info is not a JSON object")
+    differ = sorted(info.keys() ^ set(_SAMPLING_KEYS))
+    if differ:
+        key = differ[0]
+        held = "holds" if key in info else "lacks"
+        raise SuiteFormatError(f"{path}: sampling_info {held} {key}")
+    for key in _SAMPLING_KEYS:
+        if type(info[key]) is not int or info[key] < 0:
+            raise SuiteFormatError(f"{path}: sampling_info {key} {info[key]!r} is not a count")
+    pairs, distinct, truncated = (info[key] for key in _SAMPLING_KEYS)
+    if not pairs >= distinct >= num_descriptors:
+        raise SuiteFormatError(
+            f"{path}: sampling_info distinct_descriptors {distinct} is not between the "
+            f"{num_descriptors} of num_descriptors and the {pairs} of descriptor_pairs"
+        )
+    if truncated > graph_edges:
+        raise SuiteFormatError(
+            f"{path}: sampling_info truncated_edges {truncated} exceeds the "
+            f"{graph_edges} edges of the world graph"
+        )
+
+
 def world_dir_name(world_id: int) -> str:
     return f"rule_{world_id}"
 
@@ -266,14 +298,15 @@ def read_world(
     - ``world_graph.json`` must pass ``worldgraph_from_dict``: integers,
       node ids below ``nodes``, no pair twice; and each relation must be
       of the world's alphabet, ``0..K-1``;
-    - each instance line must keep the schema, hold no ``true`` or
-      ``false``, be of world ``world_id``, label every edge with a
-      relation of the alphabet, have a descriptor of 2 to
+    - each instance line must keep the schema, name no key twice, hold
+      no ``true`` or ``false``, be of world ``world_id``, label every edge
+      with a relation of the alphabet, have a descriptor of 2 to
       ``gen.max_walk_len`` relations of the alphabet, and share no
       descriptor with an earlier split of the world (the inductive split);
     - each split file must hold its ``gen.graphs_per_split`` instances;
     - ``stats.json`` must be ``compute_stats(dataset, split)`` of what was
-      read, ``sampling_info`` taken from the file.
+      read, ``sampling_info`` taken from the file and held to the
+      writer's three counts by :func:`_check_sampling_info`.
     Equal tuples of the instances are one object of ``shared``, the share
     table, which the caller may pass to several calls (a new one if None).
     A tuple's items are type-checked once, when it enters the table, so the
@@ -339,7 +372,10 @@ def read_world(
         max_walk_len=max_len,
         sampling_info=stats_doc.get("sampling_info") if isinstance(stats_doc, dict) else None,
     )
-    _require_derived(stats_file, stats_doc, compute_stats(ds, split))
+    derived = compute_stats(ds, split)
+    _require_derived(stats_file, stats_doc, derived)
+    num_descriptors = derived["num_descriptors"]
+    _check_sampling_info(stats_file, ds.sampling_info, num_descriptors, len(graph.edges))
     return graph, ds
 
 

@@ -9,8 +9,9 @@ query can only be resolved by composing rules in a combination never
 seen in training.
 
 An instance embeds one resolution path in a noisy neighborhood sampled
-by bounded BFS, with any path shorter than the resolution path pruned
-away, so the query distance equals the descriptor length. Each emitted
+by bounded BFS into one insertion-ordered edge map, with any path
+shorter than the resolution path pruned away newest noise edge first,
+so the query distance equals the descriptor length. Each emitted
 instance is certified by the symbolic resolver before it enters the
 dataset; one that fails is a GenerationError, never resampled.
 """
@@ -187,25 +188,25 @@ def sample_instance(
     pair: DescriptorPair,
     cfg: GenConfig,
     rng: random.Random,
-    adjacency: dict[NodeId, list[IncidentEdge]] | None = None,
+    adjacency: dict[NodeId, list[IncidentEdge]],
 ) -> Instance:
     """Embed the resolution path in a BFS-sampled noisy neighborhood.
 
-    Neighbor edges join with probability ``noise_gamma ** depth`` up to
-    ``noise_depth`` levels from each path node. The direct (u, v) edge
-    is dropped, then noise edges creating a path shorter than the
+    The instance's edges are one insertion-ordered map, listed in its
+    order: the resolution path's edges, then each noise edge as it is
+    drawn, with probability ``noise_gamma ** depth`` up to
+    ``noise_depth`` levels from each path node (``adjacency`` is
+    :func:`incident_adjacency` of ``g``). The direct (u, v) edge is
+    dropped, then noise edges creating a path shorter than the
     resolution path are deleted newest-first until the query distance
-    equals the descriptor length. Resolution edges are never deleted.
+    equals the descriptor length.
     """
     source, target, sink = pair.edge
     path = pair.path
-    if adjacency is None:
-        adjacency = incident_adjacency(g)
 
     edges: dict[tuple[NodeId, NodeId], RelationId] = {}
     for a, b in zip(path, path[1:]):
         edges[(a, b)] = g.edges[(a, b)]
-    noise_order: list[tuple[NodeId, NodeId]] = []
     probabilities = [cfg.noise_gamma**depth for depth in range(1, cfg.noise_depth + 1)]
 
     draw = rng.random
@@ -218,7 +219,6 @@ def sample_instance(
                 for key, r, far in incident(node, ()):
                     if key not in edges and draw() < p:
                         edges[key] = r
-                        noise_order.append(key)
                         next_frontier.append(far)
             frontier = next_frontier
 
@@ -226,20 +226,15 @@ def sample_instance(
     # path has length >= 2, so (source, sink) is never one of its edges
     edges.pop((source, sink), None)
 
-    _remove_shortcuts(edges, noise_order, source, sink, len(pair.descriptor))
+    _remove_shortcuts(edges, source, sink, len(pair.descriptor))
 
-    # path nodes first, then noise edges' nodes as the edges are listed
+    # nodes numbered as the edges are listed: the path's edges come first,
+    # so its nodes are 0..len(path) - 1 in path order
     renumber: dict[NodeId, int] = {}
-    for node in path:
-        renumber.setdefault(node, len(renumber))
-    final_edges = [(renumber[a], edges[(a, b)], renumber[b]) for a, b in zip(path, path[1:])]
-    for key in noise_order:
-        r = edges.get(key)
-        if r is not None:
-            u, v = key
-            final_edges.append(
-                (renumber.setdefault(u, len(renumber)), r, renumber.setdefault(v, len(renumber)))
-            )
+    final_edges = [
+        (renumber.setdefault(u, len(renumber)), r, renumber.setdefault(v, len(renumber)))
+        for (u, v), r in edges.items()
+    ]
 
     return Instance(
         edges=tuple(final_edges),
@@ -269,22 +264,23 @@ def incident_adjacency(g: WorldGraph) -> dict[NodeId, list[IncidentEdge]]:
 
 def _remove_shortcuts(
     edges: dict[tuple[NodeId, NodeId], RelationId],
-    noise_order: list[tuple[NodeId, NodeId]],
     source: NodeId,
     sink: NodeId,
     resolution_len: int,
 ) -> None:
     """Delete newest offending noise edge until distance(u, v) = |descriptor|.
 
-    Each round's BFS stops after ``resolution_len - 1`` levels; within them
-    it visits nodes as an unbounded one does, so it finds the same path.
+    ``edges`` is in insertion order, its first ``resolution_len`` keys the
+    resolution path's edges. Each round's BFS stops after
+    ``resolution_len - 1`` levels; within them it visits nodes as an
+    unbounded one does, so it finds the same path.
     """
     # one sorted out-adjacency serves every BFS; deletions are mirrored in it
     out: dict[NodeId, list[NodeId]] = {}
     for u, v in sorted(edges):
         out.setdefault(u, []).append(v)
     successors = out.get
-    insertion: dict[tuple[NodeId, NodeId], int] | None = None
+    position: dict[tuple[NodeId, NodeId], int] = {}  # set at the first shortcut
     while True:
         parent = {source: source}
         frontier = [source]
@@ -302,15 +298,16 @@ def _remove_shortcuts(
             frontier = next_frontier
         if sink not in parent:
             return
-        if insertion is None:
-            insertion = {key: i for i, key in enumerate(noise_order)}
+        if not position:
+            position = {key: i for i, key in enumerate(edges)}
+            keys = list(position)
         # only noise edges are deleted, so the resolution path survives
-        newest, v = -1, sink
+        newest, v = 0, sink
         while v != source:
-            newest = max(newest, insertion.get((parent[v], v), -1))
+            newest = max(newest, position[(parent[v], v)])
             v = parent[v]
-        assert newest >= 0, "a shorter path cannot consist of resolution edges only"
-        u, v = noise_order[newest]
+        assert newest >= resolution_len, "a shorter path cannot consist of resolution edges only"
+        u, v = keys[newest]
         del edges[(u, v)]
         out[u].remove(v)
 
@@ -376,7 +373,7 @@ def build_dataset(
             descriptor = descriptors[inst_rng.randrange(len(descriptors))]
             candidates = pool[descriptor]
             pair = candidates[inst_rng.randrange(len(candidates))]
-            inst = sample_instance(g, pair, cfg, inst_rng, adjacency=adjacency)
+            inst = sample_instance(g, pair, cfg, inst_rng, adjacency)
             if not validate_instance(rules, inst).is_valid:
                 raise GenerationError(
                     f"world {world_id}: {split} instance {index} failed certification"

@@ -902,6 +902,68 @@ class TestStatsAreDerived:
         assert f"{stats_file}: not a JSON object" in capsys.readouterr().err
 
 
+def _sampling_info(update):
+    """A tamper that replaces ``stats.json``'s ``sampling_info`` by ``update(info)``."""
+
+    def tamper(doc):
+        doc["sampling_info"] = update(dict(doc["sampling_info"]))
+
+    return tamper
+
+
+def _renamed(info):
+    info["descriptom_pairs"] = info.pop("descriptor_pairs")
+    return info
+
+
+class TestSamplingInfoIsCounts:
+    """``sampling_info`` is the writer's three counts: exactly the keys
+    ``descriptor_pairs``, ``distinct_descriptors`` and ``truncated_edges``,
+    each a non-negative integer, with ``descriptor_pairs >=
+    distinct_descriptors >= num_descriptors`` and ``truncated_edges`` at
+    most the world graph's edge count. Every reader refuses anything else,
+    naming ``stats.json`` and the key. (Values that keep these bounds are
+    not checked against the world graph yet.)"""
+
+    @pytest.mark.parametrize(
+        "update, message",
+        [
+            (_renamed, "sampling_info holds descriptom_pairs"),
+            (lambda info: {"anything": "goes"}, "sampling_info holds anything"),
+            (lambda info: [1, 2], "sampling_info is not a JSON object"),
+            (lambda info: {**info, "extra": 0}, "sampling_info holds extra"),
+            (lambda info: {**info, "truncated_edges": True}, "sampling_info truncated_edges True"),
+            (lambda info: {**info, "descriptor_pairs": -1}, "sampling_info descriptor_pairs -1"),
+            (lambda info: {**info, "descriptor_pairs": 1.0}, "sampling_info descriptor_pairs 1.0"),
+            (
+                lambda info: {**info, "distinct_descriptors": info["descriptor_pairs"] + 1},
+                "sampling_info distinct_descriptors",
+            ),
+            # three splits that share no descriptor hold at least three
+            (
+                lambda info: {**info, "distinct_descriptors": 2},
+                "sampling_info distinct_descriptors 2",
+            ),
+            (
+                lambda info: {**info, "truncated_edges": 10**6},
+                "sampling_info truncated_edges 1000000",
+            ),
+        ],
+        ids=[
+            "renamed_key", "other_object", "list", "extra_key", "true_count", "negative_count",
+            "float_count", "distinct_above_pairs", "distinct_below_num_descriptors",
+            "truncated_above_edges",
+        ],
+    )
+    def test_every_reader_refuses_other_than_three_counts(
+        self, suite_dir, tmp_path, capsys, update, message
+    ):
+        broken, stats_file = tampered_copy(
+            suite_dir, tmp_path, "rule_0/stats.json", _sampling_info(update)
+        )
+        refused_by_every_reader(broken, f"{stats_file}: {message}", capsys, "--world-id", "0")
+
+
 class TestInstanceCounts:
     """Each split of each world holds the manifest's ``graphs_per_split``."""
 
@@ -1025,6 +1087,21 @@ class TestUndecodableInput:
         file = broken / name
         file.write_text(file.read_text().replace(before, before + insert, 1))
         message = f"{file}: invalid JSON ({message}"
+        refused_by_every_reader(broken, message, capsys, "--world-id", "0")
+
+    @pytest.mark.parametrize("key", ["target", "edges", "world_id"])
+    def test_every_reader_refuses_an_instance_line_naming_a_key_twice(
+        self, suite_dir, tmp_path, capsys, key
+    ):
+        """The first value is wrong and the last the writer's, which the
+        parser alone would keep."""
+        broken = tmp_path / "repeated_key"
+        shutil.copytree(suite_dir, broken)
+        file = broken / "rule_0" / "train.jsonl"
+        lines = file.read_text().splitlines()
+        lines[0] = f'{{"{key}":99,{lines[0][1:]}'
+        file.write_text("\n".join(lines) + "\n")
+        message = f"{file}:1: bad instance record (key '{key}' named twice)"
         refused_by_every_reader(broken, message, capsys, "--world-id", "0")
 
     @UNDECODABLE_INPUTS

@@ -6,9 +6,10 @@ Each trial edits one file of the suite (its manifest or a file of
 inserted, a byte deleted, or the file truncated. ``validate``, ``solve``
 and ``stats`` then run in-process through ``cli.main`` on world 0, and
 each must return 0, 1 or 2. Run with ``-s`` to see, per file, the share
-of edits each command accepts (exits 0 on): a renamed ``sampling_info``
-key or a rewritten ``world_graph.json`` digit may still pass (ROADMAP
-items 5 and 12), and a flip may rewrite a byte to itself.
+of edits each command accepts (exits 0 on): a rewritten digit of a
+``sampling_info`` count or of ``world_graph.json`` may still pass
+(ROADMAP items 5 and 12), though a renamed ``sampling_info`` key is
+refused, and a flip may rewrite a byte to itself.
 """
 
 import contextlib

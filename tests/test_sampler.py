@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
 from logicworlds.resolver import instance_adjacency, resolve_descriptor, validate_instance
-from logicworlds.rules import generate_alphabet, generate_rules
+from logicworlds.rules import RelationId, generate_alphabet, generate_rules
 from logicworlds.sampler import (
     MAX_WALKS_PER_EDGE,
     SPLIT_NAMES,
     DescriptorPair,
+    IncidentEdge,
+    Instance,
     _remove_shortcuts,
     build_dataset,
     collect_descriptors,
+    incident_adjacency,
     sample_instance,
     split_descriptors,
 )
-from logicworlds.worldgraph import GenConfig, WorldGraph, generate_world_graph
+from logicworlds.worldgraph import GenConfig, NodeId, WorldGraph, generate_world_graph
 
 from oracles import reference_collect_descriptors, shortest_distance
 
@@ -183,7 +186,7 @@ class TestSampleInstance:
         graph = chain_graph()
         pair = collect_descriptors(graph, 10).pairs[0]
         cfg = GenConfig(node_pool=10, noise_gamma=0.0)
-        inst = sample_instance(graph, pair, cfg, random.Random(0))
+        inst = sample_instance(graph, pair, cfg, random.Random(0), incident_adjacency(graph))
         assert inst.edges == ((0, 0, 1), (1, 2, 2))
         assert inst.resolution_path == (0, 1, 2)
         assert (inst.source, inst.sink, inst.target) == (0, 2, 3)
@@ -193,7 +196,7 @@ class TestSampleInstance:
         pairs = collect_descriptors(graph, cfg.max_walk_len).pairs
         local = random.Random(0)
         for pair in pairs[:60]:
-            inst = sample_instance(graph, pair, cfg, local)
+            inst = sample_instance(graph, pair, cfg, local, incident_adjacency(graph))
             _, rev = instance_adjacency(inst.edges)
             assert shortest_distance(rev, inst.source, inst.sink) == len(
                 inst.descriptor
@@ -204,13 +207,13 @@ class TestSampleInstance:
         pairs = collect_descriptors(graph, cfg.max_walk_len).pairs
         local = random.Random(1)
         for pair in pairs[:60]:
-            inst = sample_instance(graph, pair, cfg, local)
+            inst = sample_instance(graph, pair, cfg, local, incident_adjacency(graph))
             assert all((u, v) != (inst.source, inst.sink) for u, _, v in inst.edges)
 
     def test_node_ids_dense_from_zero(self):
         rules, cfg, graph = generated_world(seed=6)
         pair = collect_descriptors(graph, cfg.max_walk_len).pairs[0]
-        inst = sample_instance(graph, pair, cfg, random.Random(2))
+        inst = sample_instance(graph, pair, cfg, random.Random(2), incident_adjacency(graph))
         nodes = {n for e in inst.edges for n in (e[0], e[2])}
         assert nodes == set(range(len(nodes)))
         assert inst.source == 0
@@ -224,7 +227,7 @@ class TestRemoveShortcuts:
         path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
         noise_order = [(1, 6), (0, 7), (6, 4), (7, 5)]
         edges = {key: 0 for key in path + noise_order}
-        _remove_shortcuts(edges, noise_order, 0, 5, 5)
+        _remove_shortcuts(edges, 0, 5, 5)
         # round 1 drops (7, 5), newer than (0, 7); round 2 drops (6, 4),
         # newer than (1, 6); round 3 finds distance 5 and stops
         assert list(edges) == path + [(1, 6), (0, 7)]
@@ -273,6 +276,81 @@ def reference_shortest_path(out, source, sink):
     return None
 
 
+def reference_sample_instance(
+    g: WorldGraph,
+    pair: DescriptorPair,
+    cfg: GenConfig,
+    rng: random.Random,
+    adjacency: dict[NodeId, list[IncidentEdge]] | None = None,
+) -> Instance:
+    """Embed the resolution path in a BFS-sampled noisy neighborhood.
+
+    Neighbor edges join with probability ``noise_gamma ** depth`` up to
+    ``noise_depth`` levels from each path node. The direct (u, v) edge
+    is dropped, then noise edges creating a path shorter than the
+    resolution path are deleted newest-first until the query distance
+    equals the descriptor length. Resolution edges are never deleted.
+
+    The sampler as it was written with a second record of the noise
+    edges, ``noise_order``, kept as the reference: it lists every drawn
+    noise edge, the dropped direct edge and the pruned edges included,
+    and the instance lists the path's edges and then those that remain.
+    It prunes with :func:`reference_remove_shortcuts`.
+    """
+    source, target, sink = pair.edge
+    path = pair.path
+    if adjacency is None:
+        adjacency = incident_adjacency(g)
+
+    edges: dict[tuple[NodeId, NodeId], RelationId] = {}
+    for a, b in zip(path, path[1:]):
+        edges[(a, b)] = g.edges[(a, b)]
+    noise_order: list[tuple[NodeId, NodeId]] = []
+    probabilities = [cfg.noise_gamma**depth for depth in range(1, cfg.noise_depth + 1)]
+
+    draw = rng.random
+    incident = adjacency.get
+    for anchor in path:
+        frontier = [anchor]
+        for p in probabilities:
+            next_frontier: list[NodeId] = []
+            for node in frontier:
+                for key, r, far in incident(node, ()):
+                    if key not in edges and draw() < p:
+                        edges[key] = r
+                        noise_order.append(key)
+                        next_frontier.append(far)
+            frontier = next_frontier
+
+    # the direct edge can only have entered as noise: the resolution
+    # path has length >= 2, so (source, sink) is never one of its edges
+    edges.pop((source, sink), None)
+
+    reference_remove_shortcuts(edges, noise_order, source, sink, len(pair.descriptor))
+
+    # path nodes first, then noise edges' nodes as the edges are listed
+    renumber: dict[NodeId, int] = {}
+    for node in path:
+        renumber.setdefault(node, len(renumber))
+    final_edges = [(renumber[a], edges[(a, b)], renumber[b]) for a, b in zip(path, path[1:])]
+    for key in noise_order:
+        r = edges.get(key)
+        if r is not None:
+            u, v = key
+            final_edges.append(
+                (renumber.setdefault(u, len(renumber)), r, renumber.setdefault(v, len(renumber)))
+            )
+
+    return Instance(
+        edges=tuple(final_edges),
+        source=renumber[source],
+        sink=renumber[sink],
+        target=target,
+        resolution_path=tuple(renumber[n] for n in path),
+        descriptor=pair.descriptor,
+    )
+
+
 @st.composite
 def noisy_paths(draw):
     """A resolution path over up to 7 nodes plus noise edges in insertion order."""
@@ -293,8 +371,37 @@ class TestRemoveShortcutsReference:
         edges = {key: 0 for key in path_edges + noise}
         expected = dict(edges)
         reference_remove_shortcuts(expected, noise, path[0], path[-1], len(path) - 1)
-        _remove_shortcuts(edges, noise, path[0], path[-1], len(path) - 1)
+        _remove_shortcuts(edges, path[0], path[-1], len(path) - 1)
         assert list(edges) == list(expected)
+
+
+class TestSampleInstanceReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        world_seed=st.integers(0, 40),
+        node_pool=st.integers(8, 200),
+        noise_gamma=st.floats(0.0, 1.0),
+        noise_depth=st.integers(1, 3),
+        draws=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 2**32)), min_size=1, max_size=8
+        ),
+    )
+    def test_one_ordered_map_gives_the_reference_instance(
+        self, world_seed, node_pool, noise_gamma, noise_depth, draws
+    ):
+        cfg = GenConfig(
+            node_pool=node_pool, noise_gamma=noise_gamma, noise_depth=noise_depth,
+            graphs_per_split=(30, 8, 8),
+        )
+        _, cfg, graph = generated_world(seed=world_seed, cfg=cfg)
+        pairs = collect_descriptors(graph, cfg.max_walk_len).pairs
+        adjacency = incident_adjacency(graph)
+        for index, seed in draws:
+            pair = pairs[index % len(pairs)]
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            inst = sample_instance(graph, pair, cfg, rng, adjacency)
+            assert inst == reference_sample_instance(graph, pair, cfg, reference_rng)
+            assert rng.getstate() == reference_rng.getstate()  # the same draws, too
 
 
 class TestBuildDataset:

@@ -35,7 +35,8 @@ def test_traced_run_succeeds_and_counts_the_golden_suite(tmp_path):
     assert info["errors"] == []
     metrics = info["metrics"]
     assert metrics["worldgraph.graphs"] == 14
-    assert metrics["sampler.instances"] == 420
+    # the sample_instance wrapper still binds, and each instance is drawn once
+    assert metrics["sampler.sample_instance_calls"] == metrics["sampler.instances"] == 420
     assert metrics["generate.resolver.resolve_descriptor_calls"] > 0
     # descriptor collection and certification both walk with the counted
     # iter_simple_path_labels
