@@ -68,30 +68,30 @@ def _build_parser() -> argparse.ArgumentParser:
         default=_usable_cpus(),
         help="worlds processed in parallel (default: %(default)s, the usable CPUs)",
     )
+    world_id = argparse.ArgumentParser(add_help=False)
+    world_id.add_argument("--world-id", type=int, help="only this world (default: every world)")
 
-    gen = sub.add_parser("generate", parents=[workers], help="generate a suite onto disk")
+    gen = sub.add_parser("generate", parents=[workers, world_id], help="generate a suite onto disk")
     gen.add_argument("--config", type=Path, help="JSON config file (defaults otherwise)")
     gen.add_argument("--seed", type=int, help="override the config seed")
     gen.add_argument("--out", type=Path, help="output directory")
-    gen.add_argument("--world-id", type=int, help="build only this world")
     gen.set_defaults(func=cmd_generate)
 
     val = sub.add_parser(
-        "validate", parents=[workers], help="certify every instance of a suite"
+        "validate", parents=[workers, world_id], help="certify every instance of a suite"
     )
     val.add_argument("suite", type=Path)
-    val.add_argument("--world-id", type=int, help="restrict to one world")
     val.set_defaults(func=cmd_validate)
 
-    sol = sub.add_parser("solve", parents=[workers], help="run the symbolic baseline solver")
+    sol = sub.add_parser(
+        "solve", parents=[workers, world_id], help="run the symbolic baseline solver"
+    )
     sol.add_argument("suite", type=Path)
-    sol.add_argument("--world-id", type=int, help="restrict to one world")
     sol.set_defaults(func=cmd_solve)
 
-    sta = sub.add_parser("stats", help="print per-world statistics")
+    sta = sub.add_parser("stats", parents=[world_id], help="print per-world statistics")
     sta.add_argument("suite", type=Path)
     sta.add_argument("--accuracy", type=Path, help="JSON accuracy file for difficulty")
-    sta.add_argument("--world-id", type=int, help="restrict to one world")
     sta.set_defaults(func=cmd_stats)
     return parser
 
@@ -111,11 +111,12 @@ def cmd_generate(args) -> int:
     print(f"worlds: {len(info)} of {len(suite.worlds)}")
     # build_dataset emits exactly graphs_per_split instances per world or raises
     print(f"instances: {len(info) * sum(config.gen.graphs_per_split)}")
-    if distinct:
-        print(
-            f"descriptors: {sum(distinct)} pooled, "
-            f"{sum(distinct) / len(distinct):.1f} mean per world"
-        )
+    # info is never empty: generate builds every world of the plan or the one
+    # --world-id names, and assign_world_splits always leaves a train world
+    print(
+        f"descriptors: {sum(distinct)} pooled, "
+        f"{sum(distinct) / len(distinct):.1f} mean per world"
+    )
     print(f"wrote {out}")
     return EXIT_OK
 

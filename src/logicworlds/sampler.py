@@ -31,7 +31,7 @@ from .resolver import (
     validate_instance,
 )
 from .rules import RelationId, RuleSet
-from .seeds import derive_seed
+from .seeds import rng_for
 from .worldgraph import GenConfig, NodeId, WorldGraph
 
 SPLIT_NAMES = ("train", "valid", "test")
@@ -249,17 +249,15 @@ def sample_instance(
 def incident_adjacency(g: WorldGraph) -> dict[NodeId, list[IncidentEdge]]:
     """Node -> incident edges in both directions, in (u, r, v) order.
 
-    Each entry is ``((u, v), r, far)``: the edge key as the noise loop
-    stores it, the label, and the endpoint other than the node.
+    Each entry is ``((u, v), r, far)``: the graph's own edge key, the
+    label, and the other endpoint; one sort orders every node's list.
     """
-    adj: dict[NodeId, list[tuple[NodeId, RelationId, NodeId]]] = {}
-    for (u, v), r in g.edges.items():
-        adj.setdefault(u, []).append((u, r, v))
-        adj.setdefault(v, []).append((u, r, v))
-    return {
-        node: [((u, v), r, v if u == node else u) for u, r, v in sorted(edges)]
-        for node, edges in adj.items()
-    }
+    adj: dict[NodeId, list[IncidentEdge]] = {}
+    for key, r in sorted(g.edges.items(), key=lambda item: (item[0][0], item[1], item[0][1])):
+        u, v = key
+        adj.setdefault(u, []).append((key, r, v))
+        adj.setdefault(v, []).append((key, r, u))
+    return adj
 
 
 def _remove_shortcuts(
@@ -369,7 +367,7 @@ def build_dataset(
         descriptors = list(pool)
         seeds = [rng.getrandbits(64) for _ in range(count)]
         for index in range(count):
-            inst_rng = random.Random(derive_seed(seeds[index], 0))
+            inst_rng = rng_for(seeds[index], 0)
             descriptor = descriptors[inst_rng.randrange(len(descriptors))]
             candidates = pool[descriptor]
             pair = candidates[inst_rng.randrange(len(candidates))]

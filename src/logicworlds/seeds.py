@@ -1,13 +1,15 @@
 """Deterministic sub-seed derivation.
 
-Every random decision in the pipeline draws from a ``random.Random``
+Every random decision in the pipeline descends from a ``random.Random``
 seeded through ``derive_seed``, so worlds and instances can be generated
-independently (and in parallel) while staying byte-reproducible.
+independently (and in parallel) while staying byte-reproducible. Most
+draw from it directly; world-graph growth draws from a second generator
+seeded once with the first 64-bit draw of its ``TAG_WORLDGRAPH`` stream.
 
 The mixing function is a SplitMix64 fold: starting from 0, each integer
 part is XORed in and passed through the SplitMix64 finalizer. The scheme
 is stable across platforms and Python versions and is part of the
-on-disk reproducibility contract (see README, "Seed derivation").
+on-disk reproducibility contract (see README, "Determinism and seed derivation").
 """
 
 import random

@@ -182,7 +182,8 @@ def read_plan(path: str | Path) -> Suite:
 
 def read_suite(path: str | Path) -> Suite:
     """Load a complete suite directory: its plan and every listed world,
-    all through one share table, so equal tuples anywhere are one object.
+    all through one share table, so equal instance tuples anywhere are one
+    object (each world graph keeps its own edge keys).
 
     Each world is read by ``read_world`` against the plan, so a listed
     world without its directory, or one that ``read_world`` refuses, is a

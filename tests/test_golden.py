@@ -146,3 +146,49 @@ def test_digest_does_not_depend_on_the_hash_seed(tmp_path, hash_seed):
     )
     assert proc.returncode == 0, proc.stderr
     assert tree_sha256(out) == GOLDEN_SHA256
+
+
+def other_cpython(minor: int) -> str | None:
+    """An executable of CPython 3.<minor> that starts, looked for beside the
+    running interpreter's installation (the directories next to
+    ``sys.base_prefix``) and then on PATH; each candidate is confirmed by
+    its own ``sys.implementation`` and ``sys.version_info``."""
+    name = f"python3.{minor}"
+    beside = sorted(Path(sys.base_prefix).parent.glob(f"*/bin/{name}"))
+    on_path = [Path(d) / name for d in os.environ.get("PATH", "").split(os.pathsep) if d]
+    probe = "import sys; print(sys.implementation.name, *sys.version_info[:2])"
+    for exe in [*beside, *on_path]:
+        if not exe.is_file():
+            continue
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.split() == ["cpython", "3", str(minor)]:
+            return str(exe)
+    return None
+
+
+@pytest.mark.parametrize("minor", [m for m in (10, 11, 12, 13) if m != sys.version_info.minor])
+def test_every_other_cpython_writes_the_golden_tree(tmp_path, minor):
+    """The byte contract spans CPython 3.10-3.13: each other version found
+    here writes the golden suite, in a stdlib-only process, with the
+    digest this interpreter pins."""
+    exe = other_cpython(minor)
+    if exe is None:
+        pytest.skip(f"no CPython 3.{minor} that starts was found")
+    code = (
+        "import json, sys\n"
+        "from logicworlds.config import config_from_dict\n"
+        "from logicworlds.suite import generate_suite_to_disk, plan_suite\n"
+        "suite = plan_suite(config_from_dict(json.loads(sys.argv[1])))\n"
+        "generate_suite_to_disk(suite, sys.argv[2], world_ids=json.loads(sys.argv[3]))\n"
+    )
+    out = tmp_path / "suite"
+    args = [json.dumps(GOLDEN_CONFIG.to_dict()), str(out), json.dumps(GOLDEN_WORLDS)]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [exe, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tree_sha256(out) == GOLDEN_SHA256

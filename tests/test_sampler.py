@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logicworlds.errors import ConfigError, DegenerateWorldError
@@ -276,6 +276,22 @@ def reference_shortest_path(out, source, sink):
     return None
 
 
+def reference_incident_adjacency(g: WorldGraph) -> dict[NodeId, list[IncidentEdge]]:
+    """Node -> incident edges in both directions, in (u, r, v) order.
+
+    The builder as it was written with a triple list per node, each
+    sorted and rebuilt on its own, kept as the reference.
+    """
+    adj: dict[NodeId, list[tuple[NodeId, RelationId, NodeId]]] = {}
+    for (u, v), r in g.edges.items():
+        adj.setdefault(u, []).append((u, r, v))
+        adj.setdefault(v, []).append((u, r, v))
+    return {
+        node: [((u, v), r, v if u == node else u) for u, r, v in sorted(edges)]
+        for node, edges in adj.items()
+    }
+
+
 def reference_sample_instance(
     g: WorldGraph,
     pair: DescriptorPair,
@@ -300,7 +316,7 @@ def reference_sample_instance(
     source, target, sink = pair.edge
     path = pair.path
     if adjacency is None:
-        adjacency = incident_adjacency(g)
+        adjacency = reference_incident_adjacency(g)
 
     edges: dict[tuple[NodeId, NodeId], RelationId] = {}
     for a, b in zip(path, path[1:]):
@@ -373,6 +389,26 @@ class TestRemoveShortcutsReference:
         reference_remove_shortcuts(expected, noise, path[0], path[-1], len(path) - 1)
         _remove_shortcuts(edges, path[0], path[-1], len(path) - 1)
         assert list(edges) == list(expected)
+
+
+@st.composite
+def any_world_graphs(draw):
+    """A graph of up to 6 nodes whose edges are any ordered pairs, self-loops
+    and antiparallel pairs included, in drawn insertion order."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(keys), max_size=len(keys)))
+    return WorldGraph(node_count=n, edges=dict(zip(keys, labels)))
+
+
+class TestIncidentAdjacencyReference:
+    @settings(max_examples=300, deadline=None)
+    @given(any_world_graphs())
+    @example(WorldGraph(node_count=3, edges={(2, 0): 1, (1, 1): 0, (0, 2): 1, (1, 0): 2}))
+    def test_one_sorted_pass_gives_the_per_node_sorted_lists(self, graph):
+        # equal lists per node; the nodes' own order is never read
+        assert incident_adjacency(graph) == reference_incident_adjacency(graph)
 
 
 class TestSampleInstanceReference:
