@@ -183,7 +183,7 @@ def read_plan(path: str | Path) -> Suite:
 def read_suite(path: str | Path) -> Suite:
     """Load a complete suite directory: its plan and every listed world,
     all through one share table, so equal instance tuples anywhere are one
-    object (each world graph keeps its own edge keys).
+    object, and one pair table, so equal world-graph edge keys are too.
 
     Each world is read by ``read_world`` against the plan, so a listed
     world without its directory, or one that ``read_world`` refuses, is a
@@ -192,9 +192,11 @@ def read_suite(path: str | Path) -> Suite:
     """
     root = Path(path)
     suite = read_plan(root)
-    gen, shared = suite.config.gen, {}
+    gen, shared, pairs = suite.config.gen, {}, {}
     for wid, rules, split in select_worlds(suite, None):
-        suite.graphs[wid], suite.datasets[wid] = read_world(root, wid, rules, gen, split, shared)
+        suite.graphs[wid], suite.datasets[wid] = read_world(
+            root, wid, rules, gen, split, shared, pairs
+        )
     return suite
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ConfigError, DegenerateWorldError
 from .rules import Diagnostic, RelationId, RuleSet
@@ -389,19 +390,31 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
     return [found[pair] for pair in sorted(found)]  # sorts what it reports, not every pair
 
 
-def worldgraph_from_dict(data: dict) -> WorldGraph:
+def worldgraph_from_dict(data: dict, pairs: dict | None = None) -> WorldGraph:
     """Parse ``{"nodes": n, "edges": [[u, r, v], ...]}``: ``n`` >= 0 and each
-    id a JSON integer, not a bool (else TypeError); node ids in ``0..n-1``
-    and no (u, v) pair twice (else ValueError)."""
+    id a JSON integer, not a bool (else TypeError); node ids in ``0..n-1``,
+    no (u, v) pair twice and every id on an edge, as growth makes a node
+    only with an edge (else ValueError, naming the smallest id on none).
+
+    ``pairs`` is an optional pair table: each edge is keyed by the table's
+    tuple equal to its (u, v), entered once the edge passes its type and
+    range checks, so graphs parsed with one table share equal keys and no
+    bool or float enters it."""
     nodes, edges = data["nodes"], {}
     if type(nodes) is not int or nodes < 0:
         raise TypeError(f"nodes {nodes!r} is not a non-negative integer")
+    share = None if pairs is None else pairs.setdefault
     for u, r, v in data["edges"]:
         if type(u) is not int or type(r) is not int or type(v) is not int:
             raise TypeError(f"edge {[u, r, v]!r} is not three integers")
         if not (0 <= u < nodes and 0 <= v < nodes):
             raise ValueError(f"edge {[u, r, v]!r} has a node outside 0..{nodes - 1}")
-        edges[(u, v)] = r
+        key = (u, v)
+        edges[key if share is None else share(key, key)] = r
     if len(edges) != len(data["edges"]):
         raise ValueError("a (u, v) pair carries two edges")
+    covered = set(chain.from_iterable(edges))
+    if len(covered) != nodes:  # every id is below nodes, so some id is on no edge
+        missing = next(node for node in range(nodes) if node not in covered)
+        raise ValueError(f"node {missing} lies on no edge")
     return WorldGraph(node_count=nodes, edges=edges)

@@ -714,8 +714,8 @@ class TestWorldGraphIsTyped:
     """``world_graph.json`` holds a graph the writer could write: ``nodes``
     a non-negative JSON integer, each edge three JSON integers (a bool is
     none) with node ids below ``nodes`` and a relation of the world's
-    alphabet, and no (u, v) pair twice. Every reader refuses anything
-    else, naming the file."""
+    alphabet, no (u, v) pair twice, and every node id on an edge. Every
+    reader refuses anything else, naming the file."""
 
     @pytest.mark.parametrize(
         "tamper",
@@ -729,10 +729,13 @@ class TestWorldGraphIsTyped:
             _first_edge_item(0, lambda doc: -1),
             _repeat_first_pair(0),
             _repeat_first_pair(1),
+            lambda doc: doc.update(nodes=doc["nodes"] + 7),
+            lambda doc: doc.update(nodes=10**12),
         ],
         ids=[
             "string_nodes", "float_nodes", "negative_nodes", "true_relation", "string_relation",
             "node_id_equal_to_nodes", "negative_node_id", "repeated_edge", "repeated_pair",
+            "node_on_no_edge", "huge_nodes",
         ],
     )
     def test_every_reader_refuses_a_graph_the_writer_could_not_write(

@@ -22,7 +22,7 @@ from logicworlds.rules import select_rules
 from logicworlds.sampler import SPLIT_NAMES, Instance, WorldDataset
 from logicworlds.suite import generate_suite, generate_suite_to_disk, plan_suite, read_suite
 
-from conftest import tiny_suite_config
+from conftest import render, tiny_suite_config
 from oracles import instance_to_dict
 
 
@@ -208,16 +208,37 @@ class TestSuiteRoundTrip:
                     assert first.setdefault(value, value) is value
                     seen += 1
             assert len(first) < seen  # the world repeats some tuple
-        # read_suite shares one table across its worlds
-        first, worlds_of = {}, {}
-        for world_id, ds in read_suite(path).datasets.items():
+        # read_suite shares one table across its worlds and one pair table
+        # across its world graphs
+        loaded = read_suite(path)
+        first, pair_first, worlds_of = {}, {}, {}
+        for world_id, ds in loaded.datasets.items():
+            for pair in loaded.graphs[world_id].edges:
+                assert pair_first.setdefault(pair, pair) is pair
+                worlds_of.setdefault(("pair", pair), set()).add(world_id)
             for inst in ds.all_instances():
                 for kind, values in (("edge", inst.edges), ("descriptor", [inst.descriptor])):
                     for value in values:
                         assert first.setdefault(value, value) is value
                         worlds_of.setdefault((kind, value), set()).add(world_id)
         recurring = {kind for (kind, _), ids in worlds_of.items() if len(ids) > 1}
-        assert recurring == {"edge", "descriptor"}  # both recur in another world
+        assert recurring == {"edge", "descriptor", "pair"}  # each recurs in another world
+
+    @pytest.mark.parametrize("kind", [bool, float])
+    def test_pair_table_admits_no_retyped_node_id(self, small_suite, tmp_path, kind):
+        # world 0's graph, read first, enters the int pair (0, 1) into the
+        # pair table; world 1's graph names it with true or 1.0 and is refused
+        _, suite, path = small_suite
+        assert (0, 1) in suite.graphs[0].edges and (0, 1) in suite.graphs[1].edges
+        broken = tmp_path / "retyped"
+        shutil.copytree(path, broken)
+        file = broken / "rule_1" / "world_graph.json"
+        doc = json.loads(file.read_text())
+        edge = next(edge for edge in doc["edges"] if (edge[0], edge[2]) == (0, 1))
+        edge[2] = kind(1)
+        file.write_text(render(doc) + "\n")
+        with pytest.raises(SuiteFormatError, match=re.escape(f"{file}: bad record (TypeError(")):
+            read_suite(broken)
 
     def test_layout(self, small_suite):
         _, suite, path = small_suite
