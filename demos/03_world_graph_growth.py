@@ -1,8 +1,8 @@
 """WorldGraph generation by recursive rule expansion.
 
-Grows the labeled graph that governs one world, shows the expansion
-trace that proves every edge derivable, and runs the logical closure
-check.
+Grows the labeled graph that governs one world, reads its growth
+steps back off the edge order, which prove every edge derivable, and
+runs the logical closure check.
 
 Run: python demos/03_world_graph_growth.py
 """
@@ -16,7 +16,7 @@ from logicworlds import (
     generate_alphabet,
     generate_rules,
     generate_world_graph,
-    replay_trace,
+    growth_steps,
     rule_usage,
 )
 
@@ -30,23 +30,22 @@ cfg = GenConfig(node_pool=400, cycles=1, max_expansions=5)
 graph = generate_world_graph(rules, cfg, rng)
 print(f"world graph: {graph.node_count} nodes, {len(graph.edges)} edges")
 
-# The trace records every seed and every expansion. Replaying it must
-# reproduce the edge map exactly; this is the generation oracle.
-kinds = Counter(event[0] for event in graph.trace)
-print(f"trace events: {dict(kinds)}")
-assert replay_trace(graph.trace) == graph.edges
-print("trace replay reproduces the edge map")
+# Growth numbers each node as it makes it and never removes or relabels
+# an edge, so the edge order records every fresh seed and every
+# expansion; a loaded world_graph.json gives the same steps.
+steps = list(growth_steps(graph))
+print(f"growth steps: {dict(Counter(step[0] for step in steps))}")
 
 # Expansion rewrites an edge (u, r_t, v) into (u, r_i, y), (y, r_j, v)
 # for a rule [r_i, r_j] => r_t; here is the first rewrite performed.
-first = next(event for event in graph.trace if event[0] == "expand")
+first = next(step for step in steps if step[0] == "expand")
 _, u, r_i, r_j, v, y = first
 print(f"\nfirst expansion: ({u}, ?, {v}) rewritten through fresh node {y}")
 print(f"  added ({u}, {r_i}, {y}) and ({y}, {r_j}, {v})")
 
 # Rule-selection weights decay with use, so a generation cycle only
 # completes once every rule of the world has fired.
-usage = rule_usage(graph.trace, rules)
+usage = rule_usage(graph, rules)
 print(f"\nrule usage: min {min(usage.values())}, max {max(usage.values())}")
 assert min(usage.values()) >= cfg.cycles
 

@@ -70,7 +70,7 @@ from .worldgraph import (
     closure_check,
     derive_closure,
     generate_world_graph,
-    replay_trace,
+    growth_steps,
     rule_usage,
 )
 

@@ -299,8 +299,8 @@ def read_world(
     key that differs):
     - ``rules.json`` must be ``ruleset_to_dict(rules)``;
     - ``world_graph.json`` must pass ``worldgraph_from_dict``: integers,
-      node ids below ``nodes``, no pair twice, every id on an edge; and
-      each relation must be of the world's alphabet, ``0..K-1``;
+      no pair twice, the edges in growth order, which puts every id below
+      ``nodes`` on an edge; and each relation must be of ``0..K-1``;
     - each instance line must keep the schema, name no key twice, hold
       no ``true`` or ``false``, be of world ``world_id``, label every edge
       with a relation of the alphabet, have a descriptor of 2 to

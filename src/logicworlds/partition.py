@@ -81,8 +81,8 @@ def select_worlds_by_similarity(
     ``mixed`` interleaves the two ranked ends (most first). Ties break
     by ascending world_id.
     """
-    if k > len(pool):
-        raise ConfigError(f"cannot select {k} worlds from a pool of {len(pool)}")
+    if not 0 <= k <= len(pool):
+        raise ConfigError(f"cannot select k={k} worlds from a pool of {len(pool)}")
     most = sorted(pool, key=lambda w: (-similarity(target, w), w.world_id))
     if mode == "most-similar":
         return most[:k]
@@ -106,8 +106,12 @@ def select_worlds_by_similarity(
 def order_curriculum(
     worlds: list[WorldSpec], scores: dict[int, float]
 ) -> list[WorldSpec]:
-    """Ascending difficulty = descending accuracy; ties by world_id."""
+    """Ascending difficulty = descending accuracy in [0, 1]; ties by world_id."""
     missing = [w.world_id for w in worlds if w.world_id not in scores]
     if missing:
         raise ConfigError(f"missing scores for worlds {missing}")
+    for w in worlds:
+        score = scores[w.world_id]
+        if not isinstance(score, (int, float)) or not 0 <= score <= 1:  # NaN fails too
+            raise ConfigError(f"world {w.world_id}: score {score!r} is not a number in [0, 1]")
     return sorted(worlds, key=lambda w: (-scores[w.world_id], w.world_id))

@@ -6,11 +6,10 @@ and a fresh node y. Rule choice is weighted, with weights decaying by
 ``gamma`` per use so every rule of the world gets exercised; a cycle
 completes when all rules have fired at least once since the last reset.
 
-Every mutation is recorded in an expansion trace. Replaying the trace
-(:func:`replay_trace`) must reproduce the edge map exactly; tests rely
-on this as the generation oracle. Growth never removes or relabels an
-edge, so the graph's and the current cycle's expandable edges are kept
-in append-only lists as edges are added rather than rescanned.
+Growth numbers each node as it makes it and never removes or relabels
+an edge, so its edge map, in insertion order, records every step
+(:func:`growth_steps`), and the graph's and the current cycle's
+expandable edges are kept in append-only lists rather than rescanned.
 
 Rule grammars are not confluent, so an expansion could derive a second
 label for a pair that already carries an edge. The generator maintains
@@ -29,18 +28,17 @@ graphs, for the resolver.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from itertools import chain
+from collections import deque
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 from .errors import ConfigError, DegenerateWorldError
 from .rules import Diagnostic, RelationId, RuleSet
 
 NodeId = int
 
-# Trace event tags
+# Growth step tags
 SEED_FRESH = "seed-fresh"
-SEED_EXISTING = "seed-existing"
 EXPAND = "expand"
 
 EDGE_CAP_PER_RULE = 50
@@ -86,41 +84,44 @@ class WorldGraph:
 
     node_count: int
     edges: dict[tuple[NodeId, NodeId], RelationId]
-    trace: list[tuple] = field(default_factory=list, compare=False, repr=False)
 
     def edge_list(self) -> list[tuple[NodeId, RelationId, NodeId]]:
         return [(u, r, v) for (u, v), r in self.edges.items()]
 
 
-def replay_trace(trace: list[tuple]) -> dict[tuple[NodeId, NodeId], RelationId]:
-    """Rebuild the edge map from the expansion trace (generation oracle)."""
-    edges: dict[tuple[NodeId, NodeId], RelationId] = {}
-    for event in trace:
-        tag = event[0]
-        if tag == SEED_FRESH:
-            _, u, r, v = event
-            edges[(u, v)] = r
-        elif tag == EXPAND:
-            _, u, r_i, r_j, v, y = event
-            edges[(u, y)] = r_i
-            edges[(y, v)] = r_j
-        elif tag != SEED_EXISTING:
-            raise ValueError(f"unknown trace event {tag!r}")
-    return edges
+def growth_steps(graph: WorldGraph) -> Iterator[tuple]:
+    """Growth's steps, read off ``graph.edges`` in order: a fresh seed
+    ``(SEED_FRESH, u, r, v)`` is an edge on the next two node ids, and an
+    expansion ``(EXPAND, u, r_i, r_j, v, y)`` the edges (u, y), (y, v)
+    through the next id y, where (u, v) is an earlier edge. Edges out of
+    that order are a ValueError naming the first; so is a wrong ``node_count``."""
+    edges, y = iter(graph.edges.items()), 0  # y: the next node id
+    for (u, x), r in edges:
+        if u == y and x == y + 1:
+            yield (SEED_FRESH, u, r, x)
+        else:
+            # each step makes its edges' larger id, so once all pass, (u, v) is earlier
+            (x2, v), r_j = next(edges, ((None, None), None))
+            if not (x == x2 == y > u and y > v and (u, v) in graph.edges):
+                raise ValueError(f"edge {[u, r, x]!r} is out of growth order")
+            yield (EXPAND, u, r, r_j, v, x)
+        y = x + 1
+    if y != graph.node_count:
+        raise ValueError(f"the edges make node ids 0..{y - 1}, not 0..{graph.node_count - 1}")
 
 
-def rule_usage(trace: list[tuple], world_rules: RuleSet) -> dict[int, int]:
-    """Lifetime use count per rule index, read off the trace.
-
-    Expansion events carry the rule body, which identifies the rule by
-    body-uniqueness.
-    """
+def rule_usage(graph: WorldGraph, world_rules: RuleSet) -> dict[int, int]:
+    """Lifetime use count per rule index over :func:`growth_steps`: an
+    expansion's body names its rule, and a body that is no rule of
+    ``world_rules`` is a ValueError naming the step."""
     by_body = {rule.body: idx for idx, rule in enumerate(world_rules.rules)}
     counts = {idx: 0 for idx in range(len(world_rules.rules))}
-    for event in trace:
-        if event[0] == EXPAND:
-            _, _, r_i, r_j, _, _ = event
-            counts[by_body[(r_i, r_j)]] += 1
+    for step in growth_steps(graph):
+        if step[0] == EXPAND:
+            idx = by_body.get(step[2:4])
+            if idx is None:
+                raise ValueError(f"step {step!r} expands by no rule of the world")
+            counts[idx] += 1
     return counts
 
 
@@ -255,7 +256,6 @@ def generate_world_graph(
     # edges whose label heads a rule, in insertion order.
     expandable: list[tuple[NodeId, RelationId, NodeId]] = []
     cycle_expandable: list[tuple[NodeId, RelationId, NodeId]] = []
-    trace: list[tuple] = []
     weights = [1.0] * len(rules)
     used = [0] * len(rules)
     completed = 0
@@ -294,7 +294,6 @@ def generate_world_graph(
         next_node += 1
         track_expandable(u, r_i, y)
         track_expandable(y, r_j, v)
-        trace.append((EXPAND, u, r_i, r_j, v, y))
         weights[idx] *= cfg.gamma
         used[idx] += 1
         return True
@@ -319,12 +318,10 @@ def generate_world_graph(
                     accepted = closure.try_add_edges([(u, r_t, v)])
                     assert accepted
                     track_expandable(u, r_t, v)
-                    trace.append((SEED_FRESH, u, r_t, v))
                 else:
                     # node_pool >= 3 makes the first seed fresh, and its label
                     # heads a rule: from then on ``expandable`` is never empty
                     u, r_t, v = expandable[rng.randrange(len(expandable))]
-                    trace.append((SEED_EXISTING, u, r_t, v))
                     cycle_expandable.append((u, r_t, v))
             # the seed heads a rule, so the cycle always has a candidate; a
             # refused rewrite changes neither the candidates nor the weights
@@ -352,7 +349,7 @@ def generate_world_graph(
         else:
             stalled_cycles = 0
 
-    return WorldGraph(node_count=next_node, edges=edges, trace=trace)
+    return WorldGraph(node_count=next_node, edges=edges)
 
 
 def derive_closure(
@@ -392,14 +389,14 @@ def closure_check(graph: WorldGraph, rules: RuleSet) -> list[Diagnostic]:
 
 def worldgraph_from_dict(data: dict, pairs: dict | None = None) -> WorldGraph:
     """Parse ``{"nodes": n, "edges": [[u, r, v], ...]}``: ``n`` >= 0 and each
-    id a JSON integer, not a bool (else TypeError); node ids in ``0..n-1``,
-    no (u, v) pair twice and every id on an edge, as growth makes a node
-    only with an edge (else ValueError, naming the smallest id on none).
+    id a JSON integer, not a bool (else TypeError); no (u, v) pair twice
+    and the edges in growth order, which puts every id of ``0..n-1`` and
+    no other on an edge (else ValueError, from :func:`growth_steps`).
 
     ``pairs`` is an optional pair table: each edge is keyed by the table's
-    tuple equal to its (u, v), entered once the edge passes its type and
-    range checks, so graphs parsed with one table share equal keys and no
-    bool or float enters it."""
+    tuple equal to its (u, v), entered once the edge passes its type
+    checks, so graphs parsed with one table share equal keys and no bool
+    or float enters it."""
     nodes, edges = data["nodes"], {}
     if type(nodes) is not int or nodes < 0:
         raise TypeError(f"nodes {nodes!r} is not a non-negative integer")
@@ -407,14 +404,10 @@ def worldgraph_from_dict(data: dict, pairs: dict | None = None) -> WorldGraph:
     for u, r, v in data["edges"]:
         if type(u) is not int or type(r) is not int or type(v) is not int:
             raise TypeError(f"edge {[u, r, v]!r} is not three integers")
-        if not (0 <= u < nodes and 0 <= v < nodes):
-            raise ValueError(f"edge {[u, r, v]!r} has a node outside 0..{nodes - 1}")
         key = (u, v)
         edges[key if share is None else share(key, key)] = r
     if len(edges) != len(data["edges"]):
         raise ValueError("a (u, v) pair carries two edges")
-    covered = set(chain.from_iterable(edges))
-    if len(covered) != nodes:  # every id is below nodes, so some id is on no edge
-        missing = next(node for node in range(nodes) if node not in covered)
-        raise ValueError(f"node {missing} lies on no edge")
-    return WorldGraph(node_count=nodes, edges=edges)
+    graph = WorldGraph(node_count=nodes, edges=edges)
+    deque(growth_steps(graph), maxlen=0)  # reads every step, or refuses the order
+    return graph

@@ -710,12 +710,18 @@ def _repeat_first_pair(relabel):
     return tamper
 
 
+def _swap_first_edges(doc):
+    """A tamper that swaps the graph's first two edges, out of growth order."""
+    doc["edges"][:2] = doc["edges"][1::-1]
+
+
 class TestWorldGraphIsTyped:
     """``world_graph.json`` holds a graph the writer could write: ``nodes``
     a non-negative JSON integer, each edge three JSON integers (a bool is
     none) with node ids below ``nodes`` and a relation of the world's
-    alphabet, no (u, v) pair twice, and every node id on an edge. Every
-    reader refuses anything else, naming the file."""
+    alphabet, no (u, v) pair twice, every node id on an edge, and the
+    edges in growth order. Every reader refuses anything else, naming the
+    file."""
 
     @pytest.mark.parametrize(
         "tamper",
@@ -731,11 +737,12 @@ class TestWorldGraphIsTyped:
             _repeat_first_pair(1),
             lambda doc: doc.update(nodes=doc["nodes"] + 7),
             lambda doc: doc.update(nodes=10**12),
+            _swap_first_edges,
         ],
         ids=[
             "string_nodes", "float_nodes", "negative_nodes", "true_relation", "string_relation",
             "node_id_equal_to_nodes", "negative_node_id", "repeated_edge", "repeated_pair",
-            "node_on_no_edge", "huge_nodes",
+            "node_on_no_edge", "huge_nodes", "swapped_edges",
         ],
     )
     def test_every_reader_refuses_a_graph_the_writer_could_not_write(

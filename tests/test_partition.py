@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import pytest
 
@@ -138,6 +140,11 @@ class TestSelectWorlds:
         with pytest.raises(ConfigError):
             select_worlds_by_similarity(self.worlds[0], self.worlds[:2], 3, "mixed")
 
+    @pytest.mark.parametrize("mode", ["most-similar", "least-similar", "mixed"])
+    def test_negative_k(self, mode):
+        with pytest.raises(ConfigError, match=re.escape("k=-2")):
+            select_worlds_by_similarity(self.worlds[0], self.worlds[1:7], -2, mode)
+
 
 class TestOrderCurriculum:
     def test_descending_accuracy(self):
@@ -158,3 +165,13 @@ class TestOrderCurriculum:
     def test_missing_score_rejected(self):
         with pytest.raises(ConfigError):
             order_curriculum([WorldSpec(0, (0,))], {})
+
+    def test_unit_interval_ends_accepted(self):
+        worlds = [WorldSpec(i, (i,)) for i in range(3)]
+        assert [w.world_id for w in order_curriculum(worlds, {0: 0, 1: 1, 2: 0.5})] == [1, 2, 0]
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf, "0.5", None])
+    def test_score_outside_unit_interval_rejected(self, bad):
+        worlds = [WorldSpec(i, (i,)) for i in range(3)]
+        with pytest.raises(ConfigError, match=re.escape(f"world 0: score {bad!r} is not a number")):
+            order_curriculum(worlds, {0: bad, 1: 0.5, 2: 0.9})

@@ -12,7 +12,6 @@ from logicworlds.rules import generate_alphabet, generate_rules
 from logicworlds.worldgraph import (
     EDGE_CAP_PER_RULE,
     EXPAND,
-    SEED_EXISTING,
     SEED_FRESH,
     _EXPANSION_RETRIES,
     _MAX_STALLED_CYCLES,
@@ -22,12 +21,16 @@ from logicworlds.worldgraph import (
     closure_check,
     derive_closure,
     generate_world_graph,
-    replay_trace,
+    growth_steps,
     rule_usage,
     worldgraph_from_dict,
 )
 
 from conftest import make_rules
+
+# the reference records a cycle seeded on an existing edge; growth adds no
+# edge for it, so its edge order keeps no such step
+SEED_EXISTING = "seed-existing"
 
 
 def reference_closure(edges, rules):
@@ -53,8 +56,10 @@ def reference_closure(edges, rules):
 def reference_expand(world_rules, cfg, rng):
     """The rescanning growth loop, kept as the reference: it rebuilds the
     expandable edges from every edge each cycle and re-filters the cycle's
-    edges on every retry. The generator's incremental lists must
-    reproduce its edges, node count and trace exactly."""
+    edges on every retry. It returns its graph and its own record of its
+    seeds and expansions; the generator's incremental lists must
+    reproduce its edges and node count exactly, and the graph's growth
+    steps its record."""
     rules = world_rules.rules
     heads = list(world_rules.head_symbols())
     by_head = {}
@@ -155,7 +160,7 @@ def reference_expand(world_rules, cfg, rng):
         else:
             stalled_cycles = 0
 
-    return WorldGraph(node_count=next_node, edges=edges, trace=trace)
+    return WorldGraph(node_count=next_node, edges=edges), trace
 
 
 def has_edge_conflict(edges, rules):
@@ -216,27 +221,69 @@ def generated_sample(seed, k=12, cfg=None):
     return rules, cfg, graph
 
 
-class TestTraceReplay:
-    def test_replay_reproduces_edge_map(self):
+def step_edges(step):
+    """The ((u, v), r) edges one growth step adds, in order."""
+    if step[0] == SEED_FRESH:
+        _, u, r, v = step
+        return [((u, v), r)]
+    _, u, r_i, r_j, v, y = step
+    return [((u, y), r_i), ((y, v), r_j)]
+
+
+class TestGrowthSteps:
+    def test_steps_rebuild_the_edge_map_in_order(self):
         for seed in range(8):
             _, _, graph = generated_sample(seed)
-            assert replay_trace(graph.trace) == graph.edges
+            rebuilt, made = {}, 0
+            for step in growth_steps(graph):
+                if step[0] == EXPAND:
+                    assert (step[1], step[4]) in rebuilt  # expands an earlier edge
+                rebuilt.update(step_edges(step))
+                made += 2 if step[0] == SEED_FRESH else 1
+            assert list(rebuilt.items()) == list(graph.edges.items())
+            assert made == graph.node_count
 
     def test_no_pair_ever_relabeled(self):
         for seed in range(8):
             _, _, graph = generated_sample(seed)
             seen = {}
-            for event in graph.trace:
-                added = []
-                if event[0] == SEED_FRESH:
-                    _, u, r, v = event
-                    added = [((u, v), r)]
-                elif event[0] == EXPAND:
-                    _, u, r_i, r_j, v, y = event
-                    added = [((u, y), r_i), ((y, v), r_j)]
-                for key, r in added:
+            for step in growth_steps(graph):
+                for key, r in step_edges(step):
                     assert seen.setdefault(key, r) == r
             assert len(seen) == len(graph.edges)
+
+    @pytest.mark.parametrize(
+        "edges, nodes, named",
+        [
+            ({(0, 2): 0, (2, 1): 1, (0, 1): 2}, 3, "[0, 0, 2]"),  # expanded before its edge
+            ({(1, 0): 2}, 2, "[1, 2, 0]"),  # a seed not on the next two ids
+            ({(0, 1): 2, (0, 2): 0}, 3, "[0, 0, 2]"),  # an expansion without its second edge
+            ({(0, 1): 2, (0, 2): 0, (3, 1): 1}, 4, "[0, 0, 2]"),  # (y, v) not through y
+            ({(0, 1): 2, (0, 2): 0, (2, 2): 1}, 3, "[0, 0, 2]"),  # (u, y), (y, y)
+            ({(0, 1): 2, (2, 2): 0, (2, 1): 1}, 3, "[2, 0, 2]"),  # (y, y), (y, v)
+            ({(0, 1): 2, (5, 2): 0, (2, 1): 1}, 3, "[5, 0, 2]"),  # u not made yet
+            ({(0, 1): 2, (2, 3): 1, (0, 4): 0, (4, 3): 1}, 5, "[0, 0, 4]"),  # (u, v) no edge
+        ],
+    )
+    def test_an_edge_out_of_growth_order_is_named(self, edges, nodes, named):
+        with pytest.raises(ValueError, match=re.escape(f"edge {named} is out of growth order")):
+            list(growth_steps(WorldGraph(nodes, edges)))
+
+    @pytest.mark.parametrize("nodes", [0, 2, 4])
+    def test_node_count_must_be_the_ids_made(self, nodes):
+        graph = WorldGraph(nodes, {(0, 1): 2, (0, 2): 0, (2, 1): 1})
+        with pytest.raises(ValueError, match=re.escape(f"make node ids 0..2, not 0..{nodes - 1}")):
+            list(growth_steps(graph))
+
+    def test_steps_name_the_rule_bodies_they_expand_by(self):
+        rules = make_rules([((0, 1), 2)], size=3)
+        graph = WorldGraph(3, {(0, 1): 2, (0, 2): 0, (2, 1): 1})
+        assert list(growth_steps(graph)) == [(SEED_FRESH, 0, 2, 1), (EXPAND, 0, 0, 1, 1, 2)]
+        assert rule_usage(graph, rules) == {0: 1}
+        other = make_rules([((1, 0), 2)], size=3)
+        message = "step ('expand', 0, 0, 1, 1, 2) expands by no rule of the world"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rule_usage(graph, other)
 
 
 class TestSingleRuleExpansion:
@@ -244,8 +291,9 @@ class TestSingleRuleExpansion:
         rules = make_rules([((0, 2), 3)], size=4)
         cfg = GenConfig(node_pool=10, cycles=1, max_expansions=2)
         graph = generate_world_graph(rules, cfg, random.Random(0))
-        seeds = [e for e in graph.trace if e[0] == SEED_FRESH]
-        expands = [e for e in graph.trace if e[0] == EXPAND]
+        steps = list(growth_steps(graph))
+        seeds = [e for e in steps if e[0] == SEED_FRESH]
+        expands = [e for e in steps if e[0] == EXPAND]
         assert seeds and expands
         _, a, r, b = seeds[0]
         assert r == 3  # the only head symbol
@@ -264,7 +312,7 @@ class TestGeneration:
 
     def test_every_rule_used_at_least_cycles_times(self):
         rules, cfg, graph = generated_sample(1, k=10, cfg=GenConfig(node_pool=400))
-        usage = rule_usage(graph.trace, rules)
+        usage = rule_usage(graph, rules)
         assert min(usage.values()) >= cfg.cycles
 
     def test_edge_cap_bounds_growth(self):
@@ -372,7 +420,7 @@ class TestIncrementalGrowth:
         # generate_world_graph grows from one sub-seed drawn from its rng
         sub_seed = random.Random(seed).getrandbits(64)
         try:
-            ref = reference_expand(rules, cfg, random.Random(sub_seed))
+            ref, record = reference_expand(rules, cfg, random.Random(sub_seed))
         except ValueError as exc:
             # under a tiny gamma every weight of a draw can underflow to 0:
             # the reference's draw fails, the generator names world and gamma
@@ -384,10 +432,10 @@ class TestIncrementalGrowth:
         graph = generate_world_graph(rules, cfg, random.Random(seed))
         # node_pool >= 3, so growth always seeds fresh first: ``expandable``
         # is never empty when an existing edge is to be seeded
-        assert graph.trace[0][0] == SEED_FRESH
+        assert record[0][0] == SEED_FRESH
         assert list(graph.edges.items()) == list(ref.edges.items())
         assert graph.node_count == ref.node_count
-        assert graph.trace == ref.trace
+        assert list(growth_steps(graph)) == [e for e in record if e[0] != SEED_EXISTING]
         # growth's refusals alone keep the finished graph free of conflicts
         kinds = [d.kind for d in closure_check(graph, rules)]
         assert "edge-conflict" not in kinds
@@ -395,6 +443,9 @@ class TestIncrementalGrowth:
 
 class TestSerialization:
     def test_round_trip(self):
-        _, _, graph = generated_sample(4)
+        rules, _, graph = generated_sample(4)
         doc = json.loads(json.dumps({"edges": graph.edge_list(), "nodes": graph.node_count}))
-        assert worldgraph_from_dict(doc) == WorldGraph(graph.node_count, graph.edges)
+        loaded = worldgraph_from_dict(doc)
+        assert loaded == WorldGraph(graph.node_count, graph.edges)
+        assert list(growth_steps(loaded)) == list(growth_steps(graph))
+        assert rule_usage(loaded, rules) == rule_usage(graph, rules)
